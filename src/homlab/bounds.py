@@ -10,10 +10,10 @@ from typing import Optional, Sequence
 
 from .complexes import (ConnResult, HeightResult, conn_proxy, order_complex,
                         sw_height)
-from .errors import HomlabError, InputError, ResourceLimitError
+from .errors import HomlabError, InputError, InvariantError
 from .graphs import (Graph, GraphMap, Z2Graph, chromatic_number, complete,
-                     cycle_reflection, find_retraction_to_edge, is_graph_map,
-                     paper_f, paper_gamma1, paper_gamma2,
+                     cycle, cycle_reflection, find_retraction_to_edge,
+                     is_graph_map, paper_f, paper_gamma1, paper_gamma2,
                      search_equivariant_map)
 from .hom import (HomPoset, PathCertificate, enumerate_hom, induced_involution,
                   induced_map, verify_certificate)
@@ -204,7 +204,7 @@ def theorem2_pipeline(certificate: Optional[PathCertificate] = None) -> Pipeline
     poset = enumerate_hom(g2.graph, complete(3))
     same = poset.same_component(f, f_g2)
     if not same:
-        raise _stage_invariant("a valid certificate forces same-component")
+        raise InvariantError("a valid certificate forces same-component")
     stages.append(StageResult(
         "same_component", True,
         f"f and f∘gamma2 share a component of the {len(poset)}-element Hom(T,K3)"))
@@ -242,18 +242,13 @@ def theorem2_pipeline(certificate: Optional[PathCertificate] = None) -> Pipeline
     return PipelineReport("theorem2", tuple(stages), all(s.passed for s in stages))
 
 
-def _stage_invariant(msg: str):
-    from .errors import InvariantError
-    return InvariantError(msg)
-
-
 def theorem1_pipeline(t: Graph, suite: Optional[Sequence[Graph]] = None) -> PipelineReport:
     """For a graph with chi = 2: retract onto an edge, then verify the
     induced retract identity i* o r* = id on Hom(edge, G) for each suite G."""
     if chromatic_number(t) != 2:
         raise InputError("theorem1_pipeline requires a graph with chromatic number 2")
     if suite is None:
-        suite = [complete(2), complete(3), _c5()]
+        suite = [complete(2), complete(3), cycle(5)]
     witness = find_retraction_to_edge(t)
     stages = [StageResult(
         "retraction", witness is not None and witness.check(),
@@ -273,11 +268,6 @@ def theorem1_pipeline(t: Graph, suite: Optional[Sequence[Graph]] = None) -> Pipe
             f"retract_identity[{graph_signature(g)}]", ok,
             f"i* o r* = id on {len(q)} elements" if ok else "identity failed"))
     return PipelineReport("theorem1", tuple(stages), all(s.passed for s in stages))
-
-
-def _c5() -> Graph:
-    from .graphs import cycle
-    return cycle(5)
 
 
 def bound_suite(t: Z2Graph, family: Sequence[Graph],

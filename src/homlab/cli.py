@@ -1,7 +1,8 @@
 """Command-line surface.
 
 Exit codes: 0 success/holds/valid, 1 violation/invalid/none-found,
-2 usage or input error, 3 resource-guard error.  All diagnostics go to
+2 usage or input error, 3 resource guard or out of memory, 4 internal error
+(a failed invariant or freeness check, which is a bug).  All diagnostics go to
 stderr; the data stream (stdout) carries only results, and identical
 invocations produce byte-identical JSON output.
 """
@@ -14,12 +15,13 @@ import math
 import sys
 
 from . import bounds, complexes, graphs, hom, serialize
-from .errors import InputError, ResourceLimitError
+from .errors import FreenessError, InputError, InvariantError, ResourceLimitError
 
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
 EXIT_USAGE = 2
 EXIT_RESOURCE = 3
+EXIT_INTERNAL = 4
 
 
 def _num(x):
@@ -82,13 +84,14 @@ def cmd_height(args) -> int:
     g = serialize.load_graph(args.G)
     poset = hom.induced_involution(z, hom.enumerate_hom(t, g))
     if args.export and args.method == "full":
-        x = complexes.order_complex(poset)
         quotient, w1 = complexes.quotient_with_w1(
-            x, {i: poset.involution[i] for i in range(len(poset))})
+            complexes.order_complex(poset), dict(enumerate(poset.involution)))
         with open(args.export, "w") as fh:
             fh.write(serialize.dumps(
                 {"quotient": quotient.export(), "w1": w1.export()}))
-    res = complexes.sw_height(poset, method=args.method)
+        res = complexes.HeightResult(complexes.w1_height(w1), True, "full")
+    else:
+        res = complexes.sw_height(poset, method=args.method)
     payload = {"height": _num(res.value), "exact": res.exact, "method": res.method}
     bound = "" if res.exact else " (lower bound)"
     _emit(args, payload, f"{res.value}{bound} [{res.method}]")
@@ -230,7 +233,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp = add_parser("hom", help="the Hom(G, H) poset")
     sp.add_argument("G")
     sp.add_argument("H")
-    sp.add_argument("--size", action="store_true")
     sp.add_argument("--components", action="store_true")
     sp.add_argument("--export", metavar="PATH",
                     help="write the order complex as JSON")
@@ -314,6 +316,12 @@ def main(argv=None) -> int:
     except ResourceLimitError as exc:
         print(f"resource limit: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
+    except MemoryError:
+        print("resource limit: out of memory", file=sys.stderr)
+        return EXIT_RESOURCE
+    except (InvariantError, FreenessError) as exc:
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

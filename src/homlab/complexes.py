@@ -3,8 +3,10 @@ first Stiefel-Whitney cocycle, mod-2 (co)homology, cup powers, and the height
 and connectivity invariants.
 
 Simplices are ordered tuples of distinct vertex identifiers; face maps are
-tuple deletion.  All chain-level linear algebra is over GF(2) via the kernels
-in :mod:`homlab.gf2`.
+tuple deletion, and each complex keeps the index of every face of every
+simplex.  Boundaries and coboundaries are read off that table as sparse bit
+rows, and all rank and membership questions go to the one GF(2) elimination
+in :mod:`homlab.gf2`; no operator is ever stored as a dense matrix.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .errors import FreenessError, InputError, InvariantError, ResourceLimitError
-from .gf2 import SPARSE_THRESHOLD, gf2_rank, gf2_solvable, rank_sparse
+from .gf2 import rank_sparse, reduce, span
 from .hom import HomPoset, default_max_elements
 
 __all__ = [
@@ -33,6 +35,7 @@ __all__ = [
     "unit_class",
     "is_coboundary",
     "sw_height",
+    "w1_height",
     "conn_proxy",
 ]
 
@@ -62,12 +65,21 @@ class OrderedDeltaComplex:
                     raise InputError(f"duplicate simplex {s!r}")
                 idx[s] = len(idx)
             self._index.append(idx)
+        # faces[d][j, i]: index of the face of simplex j of dimension d
+        # that omits its vertex i
+        faces = [np.zeros((self.n_simplices(0), 0), dtype=np.intp)]
         for d in range(1, len(self.simplices)):
+            below, table = self._index[d - 1], []
             for s in self.simplices[d]:
+                row = []
                 for i in range(len(s)):
                     face = s[:i] + s[i + 1:]
-                    if face not in self._index[d - 1]:
+                    if face not in below:
                         raise InputError(f"face {face!r} of {s!r} is missing")
+                    row.append(below[face])
+                table.append(row)
+            faces.append(np.array(table, dtype=np.intp))
+        self.faces = tuple(faces)
 
     @property
     def dim(self) -> int:
@@ -87,55 +99,25 @@ class OrderedDeltaComplex:
         except (IndexError, KeyError):
             raise InputError(f"no {d}-simplex {s!r}") from None
 
-    def boundary_matrix(self, d: int) -> np.ndarray:
-        """Mod-2 boundary from d-chains to (d-1)-chains; zero-size for d <= 0."""
-        if d <= 0 or d > self.dim:
-            rows = self.n_simplices(d - 1) if d >= 1 else 0
-            return np.zeros((rows, self.n_simplices(d)), dtype=np.uint8)
-        mat = np.zeros((self.n_simplices(d - 1), self.n_simplices(d)), dtype=np.uint8)
-        for j, s in enumerate(self.simplices[d]):
-            for i in range(len(s)):
-                face = s[:i] + s[i + 1:]
-                mat[self._index[d - 1][face], j] ^= 1
-        return mat
-
-    def boundary_rows_sparse(self, d: int):
-        """Rows of the transposed boundary: per d-simplex, its face indices mod 2."""
-        rows = []
-        if d <= 0 or d > self.dim:
-            return rows
-        for s in self.simplices[d]:
-            row = set()
-            for i in range(len(s)):
-                face = self._index[d - 1][s[:i] + s[i + 1:]]
-                row ^= {face}
-            rows.append(row)
-        return rows
-
     def export(self) -> dict:
         return {"simplices": [[list(s) for s in level] for level in self.simplices]}
 
 
 def _boundary_rank(x: OrderedDeltaComplex, d: int) -> int:
+    """GF(2) rank of the boundary from d-chains, one bit row per d-simplex."""
     if d <= 0 or d > x.dim:
         return 0
-    if max(x.n_simplices(d), x.n_simplices(d - 1)) > SPARSE_THRESHOLD:
-        return rank_sparse(x.boundary_rows_sparse(d), x.n_simplices(d - 1))
-    return gf2_rank(x.boundary_matrix(d))
+    return rank_sparse(x.faces[d].tolist(), x.n_simplices(d - 1))
 
 
 def betti_mod2(x: OrderedDeltaComplex, reduced: bool = False) -> tuple:
     """GF(2) Betti numbers b_0..b_dim (reduced variant subtracts one from b_0)."""
     if x.is_empty():
         return ()
-    out = []
-    for d in range(x.dim + 1):
-        rank_d = _boundary_rank(x, d)
-        rank_d1 = _boundary_rank(x, d + 1)
-        b = x.n_simplices(d) - rank_d - rank_d1
-        if d == 0 and reduced:
-            b -= 1
-        out.append(b)
+    ranks = [_boundary_rank(x, d) for d in range(x.dim + 2)]
+    out = [x.n_simplices(d) - ranks[d] - ranks[d + 1] for d in range(x.dim + 1)]
+    if reduced:
+        out[0] -= 1
     return tuple(out)
 
 
@@ -148,12 +130,11 @@ def order_complex_from_relation(n: int, leq: Callable[[int, int], bool],
     """Order complex of the poset on 0..n-1 under ``leq``.
 
     Simplices are the chains, ordered ascending; raises ResourceLimitError
-    beyond the chain cap.
+    beyond the chain cap.  The elements above ``i`` are found on the first
+    chain that ends at ``i``, so the cap bounds the ``leq`` calls too.
     """
     cap = default_max_elements() if max_chains is None else max_chains
-    greater = [
-        [j for j in range(n) if j != i and leq(i, j)] for i in range(n)
-    ]
+    greater = [None] * n
     levels = []
     count = 0
     chain = []
@@ -170,6 +151,8 @@ def order_complex_from_relation(n: int, leq: Callable[[int, int], bool],
 
     def extend(last: int) -> None:
         record()
+        if greater[last] is None:
+            greater[last] = [j for j in range(n) if j != last and leq(last, j)]
         for j in greater[last]:
             chain.append(j)
             extend(j)
@@ -217,9 +200,9 @@ class CocycleClass:
 def coboundary(c: CocycleClass) -> CocycleClass:
     """delta c, a cochain one degree up."""
     x, k = c.complex, c.degree
-    mat = x.boundary_matrix(k + 1)  # rows: k-simplices, cols: (k+1)-simplices
-    vals = (mat.T @ c.values) % 2 if mat.size else \
-        np.zeros(x.n_simplices(k + 1), dtype=np.uint8)
+    if k + 1 > x.dim:
+        return CocycleClass(x, k + 1, np.zeros(0, dtype=np.uint8))
+    vals = c.values[x.faces[k + 1]].sum(1) & 1
     return CocycleClass(x, k + 1, vals.astype(np.uint8))
 
 
@@ -341,9 +324,13 @@ def is_coboundary(c: CocycleClass) -> bool:
         return True
     if k == 0:
         return False  # unreduced: only the zero 0-cochain is a coboundary
-    mat = x.boundary_matrix(k)  # delta on (k-1)-cochains is its transpose
-    return gf2_solvable(mat.T if mat.size else
-                        np.zeros((x.n_simplices(k), 0), dtype=np.uint8), c.values)
+    # delta of a (k-1)-simplex: one bit per k-simplex that has it as a face
+    cofaces = [0] * x.n_simplices(k - 1)
+    for j, row in enumerate(x.faces[k].tolist()):
+        for f in row:
+            cofaces[f] |= 1 << j
+    target = sum(1 << j for j in np.flatnonzero(c.values).tolist())
+    return reduce(target, span(cofaces)) == 0
 
 
 # ---------------------------------------------------------------------------
@@ -400,14 +387,18 @@ def sw_height(poset: HomPoset, method: str = "full",
         raise ResourceLimitError(
             f"{exc}; use method='component' for large posets"
         ) from None
-    tau = {i: poset.involution[i] for i in range(len(poset))}
-    quotient, w1 = quotient_with_w1(x, tau)
+    _, w1 = quotient_with_w1(x, dict(enumerate(poset.involution)))
+    return HeightResult(w1_height(w1), True, "full")
+
+
+def w1_height(w1: CocycleClass) -> float:
+    """Largest n with w1^n not a coboundary on the quotient; -inf when empty."""
+    if w1.complex.is_empty():
+        return NEG_INF
     n = 0
-    while n < quotient.dim + 1:
-        if is_coboundary(cup_power(w1, n + 1)):
-            break
+    while n <= w1.complex.dim and not is_coboundary(cup_power(w1, n + 1)):
         n += 1
-    return HeightResult(n, True, "full")
+    return n
 
 
 def conn_proxy(x: OrderedDeltaComplex) -> ConnResult:

@@ -1,6 +1,7 @@
 """Exception hierarchy shared by all homlab modules.
 
-The CLI maps these onto exit codes: InputError -> 2, ResourceLimitError -> 3.
+The CLI maps these onto exit codes: InputError -> 2, ResourceLimitError (and
+MemoryError) -> 3, InvariantError and FreenessError -> 4 (internal error).
 """
 
 

@@ -1,138 +1,61 @@
-"""GF(2) linear algebra kernels.
+"""GF(2) linear algebra by one sparse elimination over bit rows.
 
-Row elimination over the two-element field is the hot inner loop of every
-homology and coboundary computation here.  The default path is a numba
-@njit kernel; setting HOMLAB_NO_NUMBA=1 (or the standard NUMBA_DISABLE_JIT)
-selects a pure-numpy fallback with identical results.  Matrices with more
-than ``SPARSE_THRESHOLD`` columns per dimension go through a set-based
-sparse elimination instead; the three paths must agree and are tested
-against each other.
+A row is a Python int whose bit ``j`` is column ``j``.  A basis is a dict
+mapping each pivot, the highest set bit of a row, to that row; the rank is
+the number of pivots, and a row lies in the span exactly when it reduces to
+zero against the basis.  Only the set bits of a row cost memory, so
+boundary and coboundary operators of whole complexes are never densified.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
-__all__ = [
-    "gf2_rank",
-    "gf2_solvable",
-    "rank_sparse",
-    "using_numba",
-    "SPARSE_THRESHOLD",
-]
-
-SPARSE_THRESHOLD = 10**4
+__all__ = ["reduce", "span", "gf2_rank", "gf2_solvable", "rank_sparse"]
 
 
-def _numba_disabled() -> bool:
-    return os.environ.get("HOMLAB_NO_NUMBA") == "1" or \
-        os.environ.get("NUMBA_DISABLE_JIT") == "1"
+def reduce(row: int, basis: dict) -> int:
+    """What is left of ``row`` after elimination by ``basis``; 0 iff in its span."""
+    while row:
+        pivot_row = basis.get(row.bit_length() - 1)
+        if pivot_row is None:
+            return row
+        row ^= pivot_row
+    return 0
 
 
-def _rank_numpy(a: np.ndarray) -> int:
-    """Gaussian elimination over GF(2), vectorized row updates."""
-    a = np.ascontiguousarray(a, dtype=np.uint8).copy()
-    rows, cols = a.shape
-    r = 0
-    for c in range(cols):
-        if r == rows:
-            break
-        pivots = np.nonzero(a[r:, c])[0]
-        if pivots.size == 0:
-            continue
-        p = r + int(pivots[0])
-        if p != r:
-            a[[r, p]] = a[[p, r]]
-        mask = a[:, c] == 1
-        mask[r] = False
-        a[mask] ^= a[r]
-        r += 1
-    return r
+def span(rows) -> dict:
+    """Echelon basis of the span of ``rows``, keyed by pivot."""
+    basis = {}
+    for row in rows:
+        row = reduce(row, basis)
+        if row:
+            basis[row.bit_length() - 1] = row
+    return basis
 
 
-try:
-    if _numba_disabled():
-        raise ImportError("numba disabled by environment flag")
-    from numba import njit
-
-    @njit(cache=True)
-    def _rank_numba(a):  # pragma: no cover - exercised via gf2_rank
-        rows, cols = a.shape
-        r = 0
-        for c in range(cols):
-            if r == rows:
-                break
-            pivot = -1
-            for i in range(r, rows):
-                if a[i, c]:
-                    pivot = i
-                    break
-            if pivot < 0:
-                continue
-            if pivot != r:
-                for j in range(cols):
-                    tmp = a[r, j]
-                    a[r, j] = a[pivot, j]
-                    a[pivot, j] = tmp
-            for i in range(rows):
-                if i != r and a[i, c]:
-                    for j in range(cols):
-                        a[i, j] ^= a[r, j]
-            r += 1
-        return r
-
-    _HAVE_NUMBA = True
-except ImportError:
-    _HAVE_NUMBA = False
-
-
-def using_numba() -> bool:
-    return _HAVE_NUMBA
+def _bit_rows(a: np.ndarray) -> list:
+    packed = np.packbits(a.astype(bool), axis=1, bitorder="little")
+    return [int.from_bytes(r.tobytes(), "little") for r in packed]
 
 
 def gf2_rank(matrix) -> int:
     """Rank of a 0/1 matrix over GF(2)."""
-    a = np.ascontiguousarray(matrix, dtype=np.uint8)
+    a = np.asarray(matrix) % 2
     if a.ndim != 2:
         raise ValueError("gf2_rank expects a 2-d matrix")
-    if a.shape[0] == 0 or a.shape[1] == 0:
-        return 0
-    if _HAVE_NUMBA:
-        return int(_rank_numba(a.copy()))
-    return _rank_numpy(a)
+    return len(span(_bit_rows(a)))
 
 
 def gf2_solvable(a, b) -> bool:
     """True iff a x = b has a solution over GF(2)."""
-    a = np.ascontiguousarray(a, dtype=np.uint8)
-    b = np.ascontiguousarray(b, dtype=np.uint8).reshape(-1, 1)
-    if a.shape[0] != b.shape[0]:
+    a = np.asarray(a) % 2
+    b = np.asarray(b).reshape(1, -1) % 2
+    if a.shape[0] != b.shape[1]:
         raise ValueError("dimension mismatch in gf2_solvable")
-    if not b.any():
-        return True
-    if a.shape[1] == 0:
-        return False
-    return gf2_rank(np.hstack([a, b])) == gf2_rank(a)
+    return reduce(_bit_rows(b)[0], span(_bit_rows(a.T))) == 0
 
 
 def rank_sparse(rows, ncols: int) -> int:
-    """GF(2) rank of a matrix given as an iterable of column-index sets.
-
-    Set-based elimination for matrices too large to densify; agrees with
-    gf2_rank on any input.
-    """
-    basis = {}  # pivot column -> reduced row (set of columns)
-    rank = 0
-    for row in rows:
-        row = set(row)
-        while row:
-            piv = min(row)
-            if piv in basis:
-                row ^= basis[piv]
-            else:
-                basis[piv] = row
-                rank += 1
-                break
-    return rank
+    """GF(2) rank of a matrix given as an iterable of column-index sets."""
+    return len(span(sum(1 << int(j) for j in set(row)) for row in rows))

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from homlab import (complete, complete_flip, cycle, cycle_reflection,
@@ -53,3 +54,23 @@ def hom_k2_k3_swap(hom_k2_k3):
 @pytest.fixture(scope="session")
 def hom_k2_k4_swap(hom_k2_k4):
     return induced_involution(complete_flip(2), hom_k2_k4)
+
+
+def dense_boundary_matrix(x, d):
+    """Mod-2 boundary from d-chains to (d-1)-chains as a dense 0/1 matrix.
+
+    The oracle for the face table that complexes keep: it resolves each face
+    by tuple lookup.  Zero-size for d <= 0 and beyond the dimension.
+    """
+    rows = x.n_simplices(d - 1) if d >= 1 else 0
+    mat = np.zeros((rows, x.n_simplices(d)), dtype=np.uint8)
+    if 1 <= d <= x.dim:
+        for j, s in enumerate(x.simplices[d]):
+            for i in range(len(s)):
+                mat[x.simplex_index(d - 1, s[:i] + s[i + 1:]), j] ^= 1
+    return mat
+
+
+@pytest.fixture(scope="session")
+def boundary_matrix():
+    return dense_boundary_matrix

@@ -2,7 +2,8 @@ import json
 
 import pytest
 
-from homlab import (GraphMap, InputError, complete, cycle, paper_T, paper_f,
+from homlab import (FreenessError, GraphMap, InputError, InvariantError,
+                    complete, complexes, cycle, hom, paper_T, paper_f,
                     paper_gamma1)
 from homlab.cli import main
 from homlab.serialize import (bundled_fig3_certificate, certificate_from_json,
@@ -132,6 +133,20 @@ class TestCliBasics:
         assert len(data["quotient"]["simplices"][0]) == 6
         assert data["w1"]["degree"] == 1 and data["w1"]["support"]
 
+    def test_height_export_builds_complex_once(self, capsys, tmp_path,
+                                               monkeypatch):
+        _, plain, _ = run(capsys, "--json", "height", "K2", "swap", "K4")
+        calls = []
+        original = complexes.order_complex
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+        monkeypatch.setattr(complexes, "order_complex", counted)
+        code, out, _ = run(capsys, "--json", "height", "K2", "swap", "K4",
+                           "--export", str(tmp_path / "q.json"))
+        assert code == 0 and len(calls) == 1 and out == plain
+
     def test_eqmap(self, capsys):
         code, out, _ = run(capsys, "--json", "eqmap", "C5", "c5_reflection",
                            "paper_T", "gamma1")
@@ -246,6 +261,21 @@ class TestCliExitCodes:
         monkeypatch.setenv("HOMLAB_MAX_ELEMENTS", "5")
         code, _, err = run(capsys, "hom", "K2", "K3")
         assert code == 3 and "resource limit" in err
+
+    def test_memory_error_exit_three(self, capsys, monkeypatch):
+        def exhausted(*args, **kwargs):
+            raise MemoryError
+        monkeypatch.setattr(hom, "enumerate_hom", exhausted)
+        code, out, err = run(capsys, "--json", "betti", "K2", "K3")
+        assert code == 3 and out == "" and "out of memory" in err
+
+    @pytest.mark.parametrize("error", [InvariantError, FreenessError])
+    def test_internal_error_exit_four(self, capsys, monkeypatch, error):
+        def broken(*args, **kwargs):
+            raise error("simulated")
+        monkeypatch.setattr(complexes, "sw_height", broken)
+        code, out, err = run(capsys, "--json", "height", "K2", "swap", "K3")
+        assert code == 4 and out == "" and "internal error" in err
 
     def test_theorem1_bad_input_exit_two(self, capsys):
         code, _, _ = run(capsys, "paper", "theorem1", "K3")

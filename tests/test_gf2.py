@@ -1,13 +1,9 @@
 import itertools
-import subprocess
-import sys
 
 import numpy as np
 import pytest
 
-from homlab.gf2 import (SPARSE_THRESHOLD, gf2_rank, gf2_solvable, rank_sparse,
-                        using_numba)
-from homlab.gf2 import _rank_numpy
+from homlab.gf2 import gf2_rank, gf2_solvable, rank_sparse, reduce, span
 
 
 def oracle_rank(a):
@@ -27,18 +23,24 @@ def random_matrices(count=60, max_dim=8, seed=11):
         yield rng.integers(0, 2, size=(m, n), dtype=np.uint8)
 
 
+def column_sets(a):
+    return [set(np.nonzero(row)[0]) for row in a]
+
+
 class TestRank:
     def test_against_row_space_oracle(self):
         for a in random_matrices():
             assert gf2_rank(a) == oracle_rank(a)
+            assert rank_sparse(column_sets(a), a.shape[1]) == oracle_rank(a)
 
     def test_three_paths_agree(self):
         for a in random_matrices(seed=23):
             dense = gf2_rank(a)
-            assert _rank_numpy(a) == dense
-            assert rank_sparse(
-                [set(np.nonzero(row)[0]) for row in a], a.shape[1]
-            ) == dense
+            assert rank_sparse(column_sets(a), a.shape[1]) == dense
+            # the rank counts the columns outside the span of those before
+            independent = sum(not gf2_solvable(a[:, :j], a[:, j])
+                              for j in range(a.shape[1]))
+            assert independent == dense
 
     def test_identity(self):
         assert gf2_rank(np.eye(5, dtype=np.uint8)) == 5
@@ -94,30 +96,24 @@ class TestSparse:
         assert rank_sparse(rows, 3) == 2
 
     def test_wide_matrix(self):
-        n = SPARSE_THRESHOLD + 5
+        n = 10_005
         rows = [{i, i + 1} for i in range(0, n - 1, 2)]
         assert rank_sparse(rows, n) == len(rows)
 
 
-class TestDispatch:
-    def test_flag_reported(self):
-        # in-process state just reflects the import-time decision
-        assert isinstance(using_numba(), bool)
+class TestElimination:
+    def test_pivots_are_highest_bits(self):
+        basis = span([0b0110, 0b0011, 0b0101, 0b1000])
+        assert all(row.bit_length() - 1 == p for p, row in basis.items())
+        assert sorted(basis) == [1, 2, 3]
 
-    def test_fallback_subprocess_agrees(self):
-        code = (
-            "import numpy as np\n"
-            "from homlab.gf2 import gf2_rank, using_numba\n"
-            "assert not using_numba()\n"
-            "rng = np.random.default_rng(3)\n"
-            "a = rng.integers(0, 2, size=(30, 40), dtype=np.uint8)\n"
-            "print(gf2_rank(a))\n"
-        )
-        out = subprocess.run(
-            [sys.executable, "-c", code],
-            capture_output=True, text=True, check=True,
-            env={"PATH": "/usr/bin:/bin", "HOMLAB_NO_NUMBA": "1"},
-        )
-        rng = np.random.default_rng(3)
-        a = rng.integers(0, 2, size=(30, 40), dtype=np.uint8)
-        assert int(out.stdout) == gf2_rank(a)
+    def test_membership_is_reduction_to_zero(self):
+        rng = np.random.default_rng(31)
+        for _ in range(30):
+            rows = [int(r) for r in rng.integers(0, 64, size=4)]
+            basis = span(rows)
+            members = {0}
+            for r in rows:
+                members |= {m ^ r for m in members}
+            for v in range(64):
+                assert (reduce(v, basis) == 0) == (v in members)

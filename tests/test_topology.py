@@ -58,18 +58,23 @@ class TestOrderedDeltaComplex:
         x = OrderedDeltaComplex([[(0,)], []])
         assert x.dim == 0
 
-    def test_boundary_squared_is_zero(self, hom_k2_k4):
+    def test_boundary_squared_is_zero(self, hom_k2_k4, boundary_matrix):
         x = order_complex(hom_k2_k4)
         for d in range(1, x.dim + 1):
-            prod = (x.boundary_matrix(d) @ x.boundary_matrix(d + 1)) % 2
+            prod = (boundary_matrix(x, d) @ boundary_matrix(x, d + 1)) % 2
             assert not prod.any()
 
-    def test_sparse_rows_match_dense(self, hom_k2_k3):
-        x = order_complex(hom_k2_k3)
+    def test_face_table_matches_dense(self, hom_k2_k4, boundary_matrix):
+        x = order_complex(hom_k2_k4)
+        rng = np.random.default_rng(3)
         for d in range(1, x.dim + 1):
-            dense = x.boundary_matrix(d)
-            for j, row in enumerate(x.boundary_rows_sparse(d)):
-                assert row == set(np.nonzero(dense[:, j])[0])
+            dense = boundary_matrix(x, d)
+            assert x.faces[d].shape == (x.n_simplices(d), d + 1)
+            for j, row in enumerate(x.faces[d]):
+                assert sorted(row) == list(np.nonzero(dense[:, j])[0])
+            c = CocycleClass(x, d - 1, rng.integers(0, 2, x.n_simplices(d - 1),
+                                                     dtype=np.uint8))
+            assert np.array_equal(coboundary(c).values, dense.T @ c.values % 2)
 
 
 class TestBetti:
@@ -115,6 +120,17 @@ class TestOrderComplex:
     def test_chain_cap(self):
         with pytest.raises(ResourceLimitError):
             order_complex_from_relation(6, lambda i, j: i <= j, max_chains=10)
+
+    def test_chain_cap_bounds_leq_calls(self):
+        n, calls = 100, []
+
+        def leq(i, j):
+            calls.append((i, j))
+            return i <= j
+        with pytest.raises(ResourceLimitError):
+            order_complex_from_relation(n, leq, max_chains=5)
+        # each chain within the cap scans at most one new element's upset
+        assert len(calls) <= 5 * (n - 1) < n * (n - 1)
 
     def test_vertices_are_poset_indices(self, hom_k2_k3):
         x = order_complex(hom_k2_k3)
@@ -208,6 +224,18 @@ class TestCupAndCoboundary:
         x = order_complex(hom_k2_k3)
         with pytest.raises(InputError):
             cup_power(unit_class(x), 2)
+
+    @pytest.mark.parametrize("name", ["hexagon", "hom_k2_k3"])
+    def test_is_coboundary_against_exhaustive_search(self, name, request,
+                                                     boundary_matrix):
+        x = hexagon() if name == "hexagon" else order_complex(
+            request.getfixturevalue(name))
+        delta = boundary_matrix(x, 1).T  # 0-cochains -> 1-cochains
+        images = {tuple(delta @ np.array(v) % 2)
+                  for v in itertools.product((0, 1), repeat=x.n_simplices(0))}
+        for c in itertools.product((0, 1), repeat=x.n_simplices(1)):
+            cls = CocycleClass(x, 1, np.array(c, dtype=np.uint8))
+            assert is_coboundary(cls) == (c in images)
 
     def test_nonzero_degree_zero_class_not_coboundary(self):
         x = OrderedDeltaComplex([[(0,)]])
