@@ -125,13 +125,13 @@ def betti_mod2(x: OrderedDeltaComplex, reduced: bool = False) -> tuple:
 # Order complexes
 
 
-def order_complex_from_relation(n: int, leq: Callable[[int, int], bool],
-                                max_chains: Optional[int] = None) -> OrderedDeltaComplex:
-    """Order complex of the poset on 0..n-1 under ``leq``.
+def _chains(n: int, above: Callable[[int], list],
+            max_chains: Optional[int]) -> OrderedDeltaComplex:
+    """Order complex of the poset on 0..n-1 whose up-sets ``above`` lists.
 
     Simplices are the chains, ordered ascending; raises ResourceLimitError
-    beyond the chain cap.  The elements above ``i`` are found on the first
-    chain that ends at ``i``, so the cap bounds the ``leq`` calls too.
+    beyond the chain cap.  ``above(i)`` is asked on the first chain that
+    ends at ``i``, so the cap bounds the up-set work too.
     """
     cap = default_max_elements() if max_chains is None else max_chains
     greater = [None] * n
@@ -152,7 +152,7 @@ def order_complex_from_relation(n: int, leq: Callable[[int, int], bool],
     def extend(last: int) -> None:
         record()
         if greater[last] is None:
-            greater[last] = [j for j in range(n) if j != last and leq(last, j)]
+            greater[last] = above(last)
         for j in greater[last]:
             chain.append(j)
             extend(j)
@@ -166,10 +166,19 @@ def order_complex_from_relation(n: int, leq: Callable[[int, int], bool],
     return OrderedDeltaComplex(levels)
 
 
+def order_complex_from_relation(n: int, leq: Callable[[int, int], bool],
+                                max_chains: Optional[int] = None) -> OrderedDeltaComplex:
+    """Order complex of the poset on 0..n-1 under ``leq``; each up-set is a
+    scan of ``leq`` over all n elements."""
+    return _chains(n, lambda i: [j for j in range(n) if j != i and leq(i, j)],
+                   max_chains)
+
+
 def order_complex(poset: HomPoset,
                   max_chains: Optional[int] = None) -> OrderedDeltaComplex:
-    """Order complex of a Hom poset; vertices are element indices."""
-    return order_complex_from_relation(len(poset), poset.leq, max_chains)
+    """Order complex of a Hom poset; vertices are element indices and each
+    up-set is walked over upper covers by ``HomPoset.above``."""
+    return _chains(len(poset), poset.above, max_chains)
 
 
 # ---------------------------------------------------------------------------

@@ -56,6 +56,14 @@ def gf2_solvable(a, b) -> bool:
     return reduce(_bit_rows(b)[0], span(_bit_rows(a.T))) == 0
 
 
+def _pack(row) -> int:
+    """Bit row of the columns in ``row``; a repeated column is set once."""
+    bits = 0
+    for j in row:
+        bits |= 1 << int(j)
+    return bits
+
+
 def rank_sparse(rows, ncols: int) -> int:
     """GF(2) rank of a matrix given as an iterable of column-index sets."""
-    return len(span(sum(1 << int(j) for j in set(row)) for row in rows))
+    return len(span(_pack(row) for row in rows))

@@ -129,6 +129,38 @@ class HomPoset:
         a, b = self.elements[i], self.elements[j]
         return all(x & ~y == 0 for x, y in zip(a, b))
 
+    def above(self, i: int) -> list:
+        """Ascending indices of the elements strictly above element ``i``.
+
+        Depth-first walk over upper covers (add one missing color to one
+        set); a candidate that is not a multihom is not in ``index`` and is
+        not walked past.  Multihoms are closed under shrinking sets, so every
+        element between ``i`` and any ``j >= i`` is itself an element, and
+        the walk reaches every ``j`` above ``i``.
+        """
+        full = (1 << len(self.target.vertices)) - 1
+        index = self.index
+        start = self.elements[i]
+        found = {start: i}
+        stack = [start]
+        while stack:
+            e = stack.pop()
+            for pos, m in enumerate(e):
+                head, tail = e[:pos], e[pos + 1:]
+                rest = full & ~m
+                while rest:
+                    bit = rest & -rest
+                    rest ^= bit
+                    f = head + (m | bit,) + tail
+                    if f in found:
+                        continue
+                    j = index.get(f)
+                    if j is not None:
+                        found[f] = j
+                        stack.append(f)
+        del found[start]
+        return sorted(found.values())
+
     @cached_property
     def atoms(self) -> tuple:
         """Indices of the elements that are graph maps (all sets singletons)."""

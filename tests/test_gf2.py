@@ -95,6 +95,10 @@ class TestSparse:
         rows = [{0, 1}, {0, 1}, {2}]
         assert rank_sparse(rows, 3) == 2
 
+    def test_repeated_column_set_once(self):
+        # the row [0, 0, 1] is {0, 1}: a repeated column does not cancel
+        assert rank_sparse([[0, 0, 1], [1]], 2) == 2
+
     def test_wide_matrix(self):
         n = 10_005
         rows = [{i, i + 1} for i in range(0, n - 1, 2)]

@@ -163,6 +163,17 @@ class TestComponents:
                 assert p.leq(i, j) == all(x <= y for x, y in zip(a, b))
 
 
+class TestAbove:
+    @pytest.mark.parametrize("source, m", [
+        (complete(2), 3), (complete(2), 4), (complete(2), 5), (cycle(5), 3),
+    ])
+    def test_matches_leq_scan(self, source, m):
+        p = enumerate_hom(source, complete(m))
+        for i in range(len(p)):
+            assert p.above(i) == [j for j in range(len(p))
+                                  if j != i and p.leq(i, j)]
+
+
 class TestInducedInvolution:
     def test_fixed_point_free_order_two(self, hom_k2_k3_swap):
         perm = hom_k2_k3_swap.involution

@@ -3,9 +3,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
-from homlab import (FreenessError, InputError, OrderedDeltaComplex, betti_mod2,
-                    complete_flip, conn_proxy, cup_power, cycle,
+from homlab import (FreenessError, Graph, HomPoset, InputError,
+                    OrderedDeltaComplex, betti_mod2, complete, complete_flip,
+                    conn_proxy, cup_power, cycle,
                     cycle_reflection, enumerate_hom, induced_involution,
                     is_coboundary, order_complex, order_complex_from_relation,
                     quotient_with_w1, sw_height, unit_class)
@@ -136,6 +138,54 @@ class TestOrderComplex:
         x = order_complex(hom_k2_k3)
         assert [s[0] for s in x.simplices[0]] == list(range(12))
         assert x.n_simplices(0) == 12 and x.n_simplices(1) == 12
+
+    def test_hom_poset_never_calls_leq(self, hom_T_k3, monkeypatch):
+        def refuse(self, i, j):
+            raise AssertionError("order_complex scanned leq")
+        monkeypatch.setattr(HomPoset, "leq", refuse)
+        x = order_complex(hom_T_k3)
+        assert [x.n_simplices(d) for d in range(3)] == [2160, 6000, 3840]
+
+    def test_hom_chain_cap_leaves_upsets_unwalked(self, K2, monkeypatch):
+        poset = enumerate_hom(K2, complete(7))
+        walked, above = [], HomPoset.above
+
+        def counted(self, i):
+            walked.append(i)
+            return above(self, i)
+        monkeypatch.setattr(HomPoset, "above", counted)
+        with pytest.raises(ResourceLimitError):
+            order_complex(poset, max_chains=100_000)
+        assert len(walked) == len(set(walked)) < len(poset)
+
+    @settings(max_examples=80, deadline=None, derandomize=True, database=None)
+    @given(st.data())
+    def test_upsets_match_leq_route(self, data):
+        source = data.draw(small_graphs(1, loops=False))
+        target = data.draw(small_graphs(2, loops=True))
+        try:
+            poset = enumerate_hom(source, target, max_elements=400)
+        except ResourceLimitError:
+            assume(False)
+        routes = (lambda: order_complex(poset, max_chains=20_000),
+                  lambda: order_complex_from_relation(len(poset), poset.leq,
+                                                      max_chains=20_000))
+        built = []
+        for route in routes:
+            try:
+                built.append(route().simplices)
+            except ResourceLimitError:
+                built.append(None)
+        assert built[0] == built[1]
+
+
+@st.composite
+def small_graphs(draw, min_vertices, loops):
+    """Graphs on at most four vertices."""
+    n = draw(st.integers(min_vertices, 4))
+    pairs = [(u, v) for u in range(n) for v in range(u if loops else u + 1, n)]
+    keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    return Graph.build(range(n), [e for e, k in zip(pairs, keep) if k])
 
 
 class TestQuotient:
