@@ -14,6 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from operator import itemgetter
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -235,8 +236,7 @@ def quotient_with_w1(x: OrderedDeltaComplex, tau: dict):
         if tau[tau[v]] != v:
             raise InputError("involution is not of order two")
 
-    def image(s: tuple) -> tuple:
-        return tuple(tau[v] for v in s)
+    image, position = tau.__getitem__, vpos.__getitem__
 
     # orbit representative per vertex: smaller canonical position
     section = {}
@@ -249,30 +249,32 @@ def quotient_with_w1(x: OrderedDeltaComplex, tau: dict):
     rep_of = []  # per dim: quotient simplex tuple -> representative lift
     for d, level in enumerate(x.simplices):
         index = x._index[d]
-        seen = set()
+        seen = set()  # images of the orbits already taken
         qlevel = []
         reps = {}
         for s in level:
-            ts = image(s)
-            if ts not in index:
-                raise InputError(f"involution is not simplicial on {s!r}")
-            if set(s) & set(ts):
-                raise FreenessError(f"simplex {s!r} meets its image")
             if s in seen:
                 continue
-            seen.add(s)
+            ts = tuple(map(image, s))
+            if ts not in index:
+                raise InputError(f"involution is not simplicial on {s!r}")
+            if not set(s).isdisjoint(ts):
+                raise FreenessError(f"simplex {s!r} meets its image")
             seen.add(ts)
-            rep = min(s, ts, key=lambda t: tuple(vpos[v] for v in t))
-            q = tuple(section[v] for v in rep)
+            ks = tuple(map(position, s))
+            kts = tuple(map(position, ts))
+            rep = s if ks <= kts else ts
+            q = tuple(map(section.__getitem__, rep))
             if q in reps:
                 raise InputError(
                     "quotient is not encodable by vertex tuples: "
                     f"two simplex orbits share {q!r}"
                 )
             reps[q] = rep
-            qlevel.append(q)
-        qlevel.sort(key=lambda t: tuple(vpos[v] for v in t))
-        levels.append(qlevel)
+            # section[v] sits at the smaller position of v and tau(v)
+            qlevel.append((tuple(map(min, ks, kts)), q))
+        qlevel.sort(key=itemgetter(0))
+        levels.append([q for _, q in qlevel])
         rep_of.append(reps)
     quotient = OrderedDeltaComplex(levels)
     for d in range(len(levels)):

@@ -476,22 +476,6 @@ def builtin(name: str):
 # Small-graph enumeration (bound sweeps)
 
 
-def _canonical_edge_mask(n: int, mask: int, pairs: list) -> int:
-    pair_pos = {p: i for i, p in enumerate(pairs)}
-    best = None
-    for perm in itertools.permutations(range(n)):
-        m = 0
-        for i, (u, v) in enumerate(pairs):
-            if mask >> i & 1:
-                pu, pv = perm[u], perm[v]
-                if pu > pv:
-                    pu, pv = pv, pu
-                m |= 1 << pair_pos[(pu, pv)]
-        if best is None or m < best:
-            best = m
-    return best
-
-
 def connected_graphs(n: int) -> list:
     """All connected loopless graphs on exactly n vertices, up to isomorphism.
 
@@ -501,13 +485,20 @@ def connected_graphs(n: int) -> list:
     if n == 1:
         return [Graph.build((1,), [])]
     pairs = list(itertools.combinations(range(n), 2))
+    pair_pos = {p: i for i, p in enumerate(pairs)}
+    # per vertex permutation: the bit that each pair's image occupies
+    relabel = [
+        [1 << pair_pos[min(perm[u], perm[v]), max(perm[u], perm[v])] for u, v in pairs]
+        for perm in itertools.permutations(range(n))
+    ]
     seen = set()
     out = []
     for mask in range(1 << len(pairs)):
-        edges = [pairs[i] for i in range(len(pairs)) if mask >> i & 1]
+        present = [i for i in range(len(pairs)) if mask >> i & 1]
+        edges = [pairs[i] for i in present]
         if not _is_connected(n, edges):
             continue
-        canon = _canonical_edge_mask(n, mask, pairs)
+        canon = min(sum(bits[i] for i in present) for bits in relabel)
         if canon in seen:
             continue
         seen.add(canon)

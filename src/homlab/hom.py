@@ -313,13 +313,46 @@ class HomPoset:
         })
 
 
+def _candidate_sets(allowed: int, has_neighbor: bool, has_loop: bool,
+                    adjm: list) -> list:
+    """``(S, common(S))`` for every set a vertex may take, in canonical order.
+
+    ``common(S)`` is the set of colors adjacent to every color of ``S``.  The
+    sets ``S`` are the nonempty subsets of ``allowed`` with ``common(S)``
+    nonempty when the vertex has a neighbor and ``S`` inside ``common(S)``
+    when it has a loop.  Both conditions survive shrinking ``S``, so the
+    preorder walk that adds colors in increasing index cuts a branch at its
+    first failure; that walk visits sets lexicographically by sorted tuple.
+    """
+    out = []
+    full = (1 << len(adjm)) - 1
+
+    def walk(s: int, common: int, rest: int) -> None:
+        while rest:
+            bit = rest & -rest
+            rest ^= bit
+            t = s | bit
+            c = common & adjm[bit.bit_length() - 1]
+            if (has_neighbor and not c) or (has_loop and t & ~c):
+                continue
+            out.append((t, c))
+            walk(t, c, rest)
+
+    walk(0, full, allowed)
+    return out
+
+
 def enumerate_hom(source: Graph, target: Graph,
                   max_elements: Optional[int] = None) -> HomPoset:
-    """Enumerate all multihomomorphisms source -> target.
+    """Enumerate all multihomomorphisms source -> target, in canonical order.
 
-    Depth-first assignment of nonempty candidate sets per vertex in canonical
-    order; a partial assignment is abandoned as soon as an edge constraint
-    fails.  Raises ResourceLimitError beyond the element cap.
+    Depth-first over the source vertices.  Vertex ``i`` takes subsets of
+    ``allowed(i)``, the colors adjacent to every color of every earlier
+    neighbor's set; its candidates come from a walk over those subsets (see
+    ``_candidate_sets``), cached per ``allowed`` and vertex kind.  Candidates
+    arrive in canonical order, so the elements do too, and the cost follows
+    the candidates rather than the 2^|V(target)| color sets.  Raises
+    ResourceLimitError beyond the element cap.
     """
     if not source.vertices:
         raise InputError("enumerate_hom requires a nonempty source vertex set")
@@ -329,56 +362,48 @@ def enumerate_hom(source: Graph, target: Graph,
     for x, y in target.edges:
         adjm[target.index(x)] |= 1 << target.index(y)
         adjm[target.index(y)] |= 1 << target.index(x)
-
-    all_masks = sorted(range(1, 1 << nt), key=_mask_key)
-
-    compat_cache = {}
-
-    def compat(m1: int, m2: int) -> bool:
-        key = (m1, m2)
-        hit = compat_cache.get(key)
-        if hit is not None:
-            return hit
-        ok = True
-        rest = m1
-        while rest:
-            bit = rest & -rest
-            rest ^= bit
-            if m2 & ~adjm[bit.bit_length() - 1]:
-                ok = False
-                break
-        compat_cache[key] = ok
-        compat_cache[(m2, m1)] = ok
-        return ok
+    full = (1 << nt) - 1
 
     ns = len(source.vertices)
     earlier = [
         [source.index(u) for u in source.neighbors(v) if source.index(u) < i]
         for i, v in enumerate(source.vertices)
     ]
-    self_loop = [source.has_edge(v, v) for v in source.vertices]
+    kind = [(bool(source.neighbors(v)), source.has_edge(v, v))
+            for v in source.vertices]
+    cache = {}
+
+    def candidates(i: int) -> list:
+        allowed = full
+        for j in earlier[i]:
+            allowed &= commons[j]
+        key = (allowed, kind[i])
+        hit = cache.get(key)
+        if hit is None:
+            hit = cache[key] = _candidate_sets(allowed, *kind[i], adjm)
+        return hit
 
     elements = []
-    assignment = [0] * ns
+    masks = [0] * ns
+    commons = [0] * ns
+    last = ns - 1
 
     def extend(i: int) -> None:
-        if i == ns:
-            if len(elements) >= cap:
+        if i == last:
+            found = candidates(i)
+            if found and len(elements) + len(found) > cap:
                 raise ResourceLimitError(
                     f"Hom poset exceeds the cap of {cap} elements"
                 )
-            elements.append(tuple(assignment))
+            head = tuple(masks[:last])
+            elements.extend([head + (m,) for m, _ in found])
             return
-        for m in all_masks:
-            if self_loop[i] and not compat(m, m):
-                continue
-            if all(compat(assignment[j], m) for j in earlier[i]):
-                assignment[i] = m
-                extend(i + 1)
-        assignment[i] = 0
+        for m, c in candidates(i):
+            masks[i] = m
+            commons[i] = c
+            extend(i + 1)
 
     extend(0)
-    elements.sort(key=lambda e: tuple(_mask_key(m) for m in e))
     return HomPoset(source, target, elements)
 
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from homlab import (complete, complete_flip, cycle, cycle_reflection,
+from homlab import (Graph, complete, complete_flip, cycle, cycle_reflection,
                     enumerate_hom, induced_involution, paper_T, paper_f,
                     paper_gamma1, paper_gamma2)
 
@@ -74,3 +74,18 @@ def dense_boundary_matrix(x, d):
 @pytest.fixture(scope="session")
 def boundary_matrix():
     return dense_boundary_matrix
+
+
+@pytest.fixture(scope="session")
+def small_graphs():
+    """Hypothesis strategy for graphs on at most four vertices."""
+    from hypothesis import strategies as st
+
+    @st.composite
+    def graphs(draw, min_vertices, loops):
+        n = draw(st.integers(min_vertices, 4))
+        pairs = [(u, v) for u in range(n) for v in range(u if loops else u + 1, n)]
+        keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+        return Graph.build(range(n), [e for e, k in zip(pairs, keep) if k])
+
+    return graphs

@@ -1,6 +1,7 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from homlab import (GraphMap, InputError, InvariantError, PathCertificate,
                     ResourceLimitError, complete, complete_flip, cycle,
@@ -105,6 +106,35 @@ class TestEnumerateHom:
         from homlab import Graph
         with pytest.raises(InputError):
             enumerate_hom(Graph.build([], []), K3)
+
+    @settings(max_examples=80, deadline=None, derandomize=True, database=None)
+    @given(st.data())
+    def test_order_matches_sorted_brute_force(self, small_graphs, data):
+        """Elements come out in the canonical order, with the cap exact."""
+        source = data.draw(small_graphs(1, loops=True))
+        target = data.draw(small_graphs(0, loops=True))
+        poset = enumerate_hom(source, target)
+
+        def key(sets):
+            return tuple(tuple(sorted(map(target.index, s))) for s in sets)
+
+        expected = sorted(brute_multihoms(source, target), key=key)
+        assert [poset.element_as_multihom(i).sets for i in range(len(poset))] == expected
+        n = len(poset)
+        assert enumerate_hom(source, target, max_elements=n).elements == poset.elements
+        if n:
+            with pytest.raises(ResourceLimitError):
+                enumerate_hom(source, target, max_elements=n - 1)
+
+    def test_cost_follows_output_not_color_sets(self, K2):
+        # 60 ordered edges, and per vertex v of C30 the two elements pairing
+        # {v} with both neighbours of v; a scan of all 2^30 color sets per
+        # search node would not finish
+        poset = enumerate_hom(K2, cycle(30))
+        assert len(poset) == 120 and len(poset.atoms) == 60
+        atoms = set(poset.atoms)
+        assert all(sorted(bin(m).count("1") for m in e) == [1, 2]
+                   for i, e in enumerate(poset.elements) if i not in atoms)
 
     def test_looped_source_constant_maps(self):
         from homlab import Graph

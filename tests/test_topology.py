@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from homlab import (FreenessError, Graph, HomPoset, InputError,
+from homlab import (FreenessError, HomPoset, InputError,
                     OrderedDeltaComplex, betti_mod2, complete, complete_flip,
                     conn_proxy, cup_power, cycle,
                     cycle_reflection, enumerate_hom, induced_involution,
@@ -160,7 +160,7 @@ class TestOrderComplex:
 
     @settings(max_examples=80, deadline=None, derandomize=True, database=None)
     @given(st.data())
-    def test_upsets_match_leq_route(self, data):
+    def test_upsets_match_leq_route(self, small_graphs, data):
         source = data.draw(small_graphs(1, loops=False))
         target = data.draw(small_graphs(2, loops=True))
         try:
@@ -177,15 +177,6 @@ class TestOrderComplex:
             except ResourceLimitError:
                 built.append(None)
         assert built[0] == built[1]
-
-
-@st.composite
-def small_graphs(draw, min_vertices, loops):
-    """Graphs on at most four vertices."""
-    n = draw(st.integers(min_vertices, 4))
-    pairs = [(u, v) for u in range(n) for v in range(u if loops else u + 1, n)]
-    keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
-    return Graph.build(range(n), [e for e, k in zip(pairs, keep) if k])
 
 
 class TestQuotient:
