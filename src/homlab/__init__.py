@@ -14,8 +14,9 @@ from .hom import (CertificateCheck, HomPoset, Multihom, PathCertificate,
                   induced_map, is_multihom, verify_certificate)
 from .complexes import (CocycleClass, ConnResult, HeightResult,
                         OrderedDeltaComplex, betti_mod2, conn_proxy, cup_power,
-                        is_coboundary, order_complex, order_complex_from_relation,
-                        quotient_with_w1, sw_height, unit_class)
+                        hom_complex, is_coboundary, order_complex,
+                        order_complex_from_relation, quotient_with_w1,
+                        sw_height, unit_class)
 from .bounds import (BoundReport, PipelineReport, StageResult, bound_suite,
                      check_ht_bound, check_swt_bound, theorem1_pipeline,
                      theorem2_pipeline)

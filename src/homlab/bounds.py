@@ -8,7 +8,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
-from .complexes import (ConnResult, HeightResult, conn_proxy, order_complex,
+from .complexes import (ConnResult, HeightResult, conn_proxy, hom_complex,
                         sw_height)
 from .errors import HomlabError, InputError, InvariantError
 from .graphs import (Graph, GraphMap, Z2Graph, chromatic_number, complete,
@@ -120,7 +120,7 @@ def check_ht_bound(t: Graph, g: Graph, allow_heuristic: bool = False,
     if len(poset) == 0:
         conn = ConnResult(-math.inf, True)
     else:
-        conn = conn_proxy(order_complex(poset))
+        conn = conn_proxy(hom_complex(poset))
     chi_g = chromatic_number(g)
     chi_t = chromatic_number(t)
     if conn.exact or allow_heuristic:

@@ -85,10 +85,10 @@ def cmd_height(args) -> int:
     poset = hom.induced_involution(z, hom.enumerate_hom(t, g))
     if args.export and args.method == "full":
         quotient, w1 = complexes.quotient_with_w1(
-            complexes.order_complex(poset), dict(enumerate(poset.involution)))
+            complexes.hom_complex(poset), dict(enumerate(poset.involution)))
         with open(args.export, "w") as fh:
             fh.write(serialize.dumps(
-                {"quotient": quotient.export(), "w1": w1.export()}))
+                {"quotient": quotient.export(faces=True), "w1": w1.export()}))
         res = complexes.HeightResult(complexes.w1_height(w1), True, "full")
     else:
         res = complexes.sw_height(poset, method=args.method)
@@ -104,7 +104,7 @@ def cmd_betti(args) -> int:
     if len(poset) == 0:
         _emit(args, {"betti": []}, "()")
         return EXIT_OK
-    b = complexes.betti_mod2(complexes.order_complex(poset))
+    b = complexes.betti_mod2(complexes.hom_complex(poset))
     _emit(args, {"betti": list(b)}, str(b))
     return EXIT_OK
 
@@ -244,7 +244,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("G")
     sp.add_argument("--method", choices=["full", "component"], default="full")
     sp.add_argument("--export", metavar="PATH",
-                    help="write quotient complex and w1 cocycle as JSON")
+                    help="write the quotient of the staircase complex, with its "
+                         "face tables, and the w1 cocycle as JSON")
     sp.set_defaults(fn=cmd_height)
 
     sp = add_parser("betti", help="mod-2 Betti numbers of Hom(G, H)")

@@ -3,18 +3,17 @@ first Stiefel-Whitney cocycle, mod-2 (co)homology, cup powers, and the height
 and connectivity invariants.
 
 Simplices are ordered tuples of distinct vertex identifiers; face maps are
-tuple deletion, and each complex keeps the index of every face of every
-simplex.  Boundaries and coboundaries are read off that table as sparse bit
-rows, and all rank and membership questions go to the one GF(2) elimination
-in :mod:`homlab.gf2`; no operator is ever stored as a dense matrix.
+tuple deletion (or, for a quotient, given tables), and each complex keeps the
+index of every face of every simplex.  Boundaries and coboundaries are read
+off that table as sparse bit rows, and all rank and membership questions go
+to the one GF(2) elimination in :mod:`homlab.gf2`; no operator is ever stored
+as a dense matrix.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
-from operator import itemgetter
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -30,6 +29,7 @@ __all__ = [
     "ConnResult",
     "order_complex",
     "order_complex_from_relation",
+    "hom_complex",
     "quotient_with_w1",
     "betti_mod2",
     "cup_power",
@@ -44,12 +44,17 @@ __all__ = [
 class OrderedDeltaComplex:
     """Simplices by dimension, each an ordered tuple of distinct vertices.
 
-    Every face (obtained by deleting one position) of every simplex must be
-    present; simplex tuples are unique per dimension so faces can be resolved
-    by tuple lookup.
+    Simplex tuples are unique per dimension.  Without ``faces``, every face
+    (obtained by deleting one position) of every simplex must be present and
+    is resolved by tuple lookup.  With ``faces`` (one table per dimension, as
+    in the ``faces`` attribute), the tuples only name the simplices and the
+    tables give the face maps, which must satisfy the simplicial identities;
+    a quotient complex is built this way, since its faces are not tuple
+    deletions of its names.
     """
 
-    def __init__(self, simplices_by_dim: Sequence[Sequence[tuple]]):
+    def __init__(self, simplices_by_dim: Sequence[Sequence[tuple]],
+                 faces: Optional[Sequence] = None):
         dims = [tuple(tuple(s) for s in level) for level in simplices_by_dim]
         while dims and not dims[-1]:
             dims.pop()
@@ -68,6 +73,10 @@ class OrderedDeltaComplex:
             self._index.append(idx)
         # faces[d][j, i]: index of the face of simplex j of dimension d
         # that omits its vertex i
+        self.faces = tuple(self._face_tables() if faces is None
+                           else self._checked_faces(faces))
+
+    def _face_tables(self) -> list:
         faces = [np.zeros((self.n_simplices(0), 0), dtype=np.intp)]
         for d in range(1, len(self.simplices)):
             below, table = self._index[d - 1], []
@@ -80,7 +89,27 @@ class OrderedDeltaComplex:
                     row.append(below[face])
                 table.append(row)
             faces.append(np.array(table, dtype=np.intp))
-        self.faces = tuple(faces)
+        return faces
+
+    def _checked_faces(self, faces: Sequence) -> list:
+        out = [np.zeros((self.n_simplices(0), 0), dtype=np.intp)]
+        for d in range(1, len(self.simplices)):
+            table = np.asarray(faces[d], dtype=np.intp)
+            if table.shape != (self.n_simplices(d), d + 1):
+                raise InputError(f"face table of dimension {d} has shape {table.shape}")
+            if table.size and not 0 <= table.min() <= table.max() < self.n_simplices(d - 1):
+                raise InputError(f"face table of dimension {d} points outside "
+                                 f"dimension {d - 1}")
+            if d >= 2:  # d_i d_j = d_{j-1} d_i for i < j
+                below = out[-1]
+                for j in range(1, d + 1):
+                    for i in range(j):
+                        if not np.array_equal(below[table[:, j], i],
+                                              below[table[:, i], j - 1]):
+                            raise InputError(f"face tables of dimension {d} break "
+                                             "the simplicial identities")
+            out.append(table)
+        return out
 
     @property
     def dim(self) -> int:
@@ -100,8 +129,13 @@ class OrderedDeltaComplex:
         except (IndexError, KeyError):
             raise InputError(f"no {d}-simplex {s!r}") from None
 
-    def export(self) -> dict:
-        return {"simplices": [[list(s) for s in level] for level in self.simplices]}
+    def export(self, faces: bool = False) -> dict:
+        """The simplices by dimension; with ``faces``, also the face tables
+        of dimensions 1 and up, which a complex given its tables needs."""
+        out = {"simplices": [[list(s) for s in level] for level in self.simplices]}
+        if faces:
+            out["faces"] = [table.tolist() for table in self.faces[1:]]
+        return out
 
 
 def _boundary_rank(x: OrderedDeltaComplex, d: int) -> int:
@@ -123,7 +157,7 @@ def betti_mod2(x: OrderedDeltaComplex, reduced: bool = False) -> tuple:
 
 
 # ---------------------------------------------------------------------------
-# Order complexes
+# Order complexes and the staircase Hom complex
 
 
 def _chains(n: int, above: Callable[[int], list],
@@ -182,6 +216,50 @@ def order_complex(poset: HomPoset,
     return _chains(len(poset), poset.above, max_chains)
 
 
+def hom_complex(poset: HomPoset,
+                max_chains: Optional[int] = None) -> OrderedDeltaComplex:
+    """Staircase (Eilenberg-Zilber) triangulation of the Hom complex.
+
+    Each element is a cell, the product of the simplices on its color sets;
+    ordering each set by target index triangulates every product by its
+    monotone chains.  The vertices are the atoms (element indices of graph
+    maps), and the simplices are the chains of atoms that are pairwise
+    related under ``HomPoset.atoms_above``, ascending: pointwise order
+    implies canonical order, so a chain ascends in index too.  Chains are
+    walked in lexicographic order by intersecting up-neighbor bitsets over
+    atom positions; raises ResourceLimitError beyond the chain cap.
+    """
+    cap = default_max_elements() if max_chains is None else max_chains
+    atoms = poset.atoms
+    slot = {a: k for k, a in enumerate(atoms)}
+    up = []
+    for a in atoms:
+        bits = 0
+        for b in poset.atoms_above(a):
+            bits |= 1 << slot[b]
+        up.append(bits)
+    levels = []
+    count = 0
+
+    def extend(chain: tuple, candidates: int) -> None:
+        nonlocal count
+        count += 1
+        if count > cap:
+            raise ResourceLimitError(f"Hom complex exceeds the cap of {cap} chains")
+        if len(levels) < len(chain):
+            levels.append([])
+        levels[len(chain) - 1].append(chain)
+        while candidates:
+            low = candidates & -candidates
+            candidates ^= low
+            k = low.bit_length() - 1
+            extend(chain + (atoms[k],), candidates & up[k])
+
+    for k, a in enumerate(atoms):
+        extend((a,), up[k])
+    return OrderedDeltaComplex(levels)
+
+
 # ---------------------------------------------------------------------------
 # Free quotients and the first Stiefel-Whitney cocycle
 
@@ -221,10 +299,13 @@ def quotient_with_w1(x: OrderedDeltaComplex, tau: dict):
     resulting double cover.
 
     ``tau`` maps vertices to vertices; it must be simplicial, of order two,
-    and move every simplex entirely off itself.  The returned degree-1
-    cocycle takes value 1 on a quotient edge exactly when the lift of that
-    edge starting at the chosen orbit representative ends at the non-chosen
-    lift of the other endpoint.
+    and move every simplex entirely off itself.  A quotient simplex is a
+    tau-orbit of simplices, named by its representative lift (the one met
+    first), and the face of an orbit is the orbit of the lift's face, so the
+    quotient carries its face tables.  The vertex lifts are the section of
+    the cover; the degree-1 cocycle takes value 1 on an edge orbit with lift
+    ``(a, b)`` exactly when one of ``a``, ``b`` is in the section and the
+    other is not.
     """
     if x.is_empty():
         return x, CocycleClass(x, 1, np.zeros(0, dtype=np.uint8))
@@ -236,58 +317,40 @@ def quotient_with_w1(x: OrderedDeltaComplex, tau: dict):
         if tau[tau[v]] != v:
             raise InputError("involution is not of order two")
 
-    image, position = tau.__getitem__, vpos.__getitem__
-
-    # orbit representative per vertex: smaller canonical position
-    section = {}
-    for v in verts:
-        w = tau[v]
-        rep = v if vpos[v] <= vpos[w] else w
-        section[v] = rep
-
-    levels = []
-    rep_of = []  # per dim: quotient simplex tuple -> representative lift
+    image = tau.__getitem__
+    orbit_of = []  # per dim: orbit index of every simplex
+    lifts = []  # per dim: index of each orbit's representative lift
     for d, level in enumerate(x.simplices):
         index = x._index[d]
-        seen = set()  # images of the orbits already taken
-        qlevel = []
-        reps = {}
-        for s in level:
-            if s in seen:
-                continue
+        orbit = [-1] * len(level)
+        reps = []
+        for j, s in enumerate(level):
+            if orbit[j] >= 0:
+                continue  # the image of a lift already taken
             ts = tuple(map(image, s))
-            if ts not in index:
+            t = index.get(ts)
+            if t is None:
                 raise InputError(f"involution is not simplicial on {s!r}")
             if not set(s).isdisjoint(ts):
                 raise FreenessError(f"simplex {s!r} meets its image")
-            seen.add(ts)
-            ks = tuple(map(position, s))
-            kts = tuple(map(position, ts))
-            rep = s if ks <= kts else ts
-            q = tuple(map(section.__getitem__, rep))
-            if q in reps:
-                raise InputError(
-                    "quotient is not encodable by vertex tuples: "
-                    f"two simplex orbits share {q!r}"
-                )
-            reps[q] = rep
-            # section[v] sits at the smaller position of v and tau(v)
-            qlevel.append((tuple(map(min, ks, kts)), q))
-        qlevel.sort(key=itemgetter(0))
-        levels.append([q for _, q in qlevel])
-        rep_of.append(reps)
-    quotient = OrderedDeltaComplex(levels)
-    for d in range(len(levels)):
-        if 2 * len(levels[d]) != x.n_simplices(d):
+            orbit[j] = orbit[t] = len(reps)
+            reps.append(j)
+        if 2 * len(reps) != len(level):
             raise InvariantError("free quotient must halve each simplex count")
+        orbit_of.append(np.array(orbit, dtype=np.intp))
+        lifts.append(np.array(reps, dtype=np.intp))
+    quotient = OrderedDeltaComplex(
+        [[level[j] for j in reps] for level, reps in zip(x.simplices, lifts)],
+        faces=[orbit_of[d - 1][x.faces[d][lifts[d]]] if d else None
+               for d in range(len(lifts))])
 
-    w1_vals = np.zeros(quotient.n_simplices(1), dtype=np.uint8)
-    for q in quotient.simplices[1] if quotient.dim >= 1 else ():
-        x0, x1 = rep_of[1][q]
-        if x0 != section[x0]:
-            x1 = tau[x1]  # lift starting at the chosen representative
-        if x1 != section[x1]:
-            w1_vals[quotient.simplex_index(1, q)] = 1
+    # vertex j is in the section iff it is its orbit's lift
+    in_section = lifts[0][orbit_of[0]] == np.arange(len(verts))
+    if quotient.dim >= 1:
+        ends = x.faces[1][lifts[1]]  # the two vertex indices of each edge lift
+        w1_vals = (in_section[ends[:, 0]] ^ in_section[ends[:, 1]]).astype(np.uint8)
+    else:
+        w1_vals = np.zeros(0, dtype=np.uint8)
     w1 = CocycleClass(quotient, 1, w1_vals)
     if not w1.check_cocycle():
         raise InvariantError("w1 representative is not a cocycle")
@@ -297,6 +360,19 @@ def quotient_with_w1(x: OrderedDeltaComplex, tau: dict):
 def unit_class(x: OrderedDeltaComplex) -> CocycleClass:
     """The degree-0 class with value 1 on every vertex."""
     return CocycleClass(x, 0, np.ones(x.n_simplices(0), dtype=np.uint8))
+
+
+def _front_edges(x: OrderedDeltaComplex, n: int) -> np.ndarray:
+    """edges[j, i]: index of the edge (v_i, v_{i+1}) of n-simplex j, n >= 1.
+
+    Read off the face tables: the first n - 1 edges are those of the face
+    omitting v_n, and the last is the last edge of the face omitting v_0.
+    """
+    edges = np.arange(x.n_simplices(1), dtype=np.intp)[:, None]
+    for d in range(2, n + 1):
+        f = x.faces[d]
+        edges = np.hstack([edges[f[:, d]], edges[f[:, 0], -1:]])
+    return edges
 
 
 def cup_power(z: CocycleClass, n: int) -> CocycleClass:
@@ -313,15 +389,7 @@ def cup_power(z: CocycleClass, n: int) -> CocycleClass:
         return unit_class(x)
     if n > x.dim:
         return CocycleClass(x, n, np.zeros(0, dtype=np.uint8))
-    vals = np.zeros(x.n_simplices(n), dtype=np.uint8)
-    for j, s in enumerate(x.simplices[n]):
-        prod = 1
-        for i in range(1, len(s)):
-            e = (s[i - 1], s[i])
-            prod &= int(z.values[x.simplex_index(1, e)])
-            if not prod:
-                break
-        vals[j] = prod
+    vals = z.values[_front_edges(x, n)].min(axis=1)
     out = CocycleClass(x, n, vals)
     if not out.check_cocycle():
         raise InvariantError("cup power of a cocycle failed the cocycle check")
@@ -376,8 +444,9 @@ def sw_height(poset: HomPoset, method: str = "full",
               max_chains: Optional[int] = None) -> HeightResult:
     """Height of the free involution on a Hom poset.
 
-    ``full`` builds the order complex, takes the free quotient, and finds the
-    largest n whose cup power of the twist cocycle is not a coboundary.
+    ``full`` builds the staircase triangulation (``hom_complex``), takes the
+    free quotient, and finds the largest n whose cup power of the twist
+    cocycle is not a coboundary.
     ``component`` answers exactly within {-inf, 0, >=1}: >= 1 iff some
     connected component is preserved by the involution.
     """
@@ -393,7 +462,7 @@ def sw_height(poset: HomPoset, method: str = "full",
         raise InputError(f"unknown height method {method!r}")
 
     try:
-        x = order_complex(poset, max_chains)
+        x = hom_complex(poset, max_chains)
     except ResourceLimitError as exc:
         raise ResourceLimitError(
             f"{exc}; use method='component' for large posets"

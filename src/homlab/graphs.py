@@ -480,8 +480,10 @@ def connected_graphs(n: int) -> list:
     """All connected loopless graphs on exactly n vertices, up to isomorphism.
 
     Vertices are 1..n; one canonical representative per isomorphism class,
-    in a deterministic order.
+    in a deterministic order.  Raises InputError for n < 1.
     """
+    if n < 1:
+        raise InputError(f"connected graphs need at least one vertex, got n = {n}")
     if n == 1:
         return [Graph.build((1,), [])]
     pairs = list(itertools.combinations(range(n), 2))

@@ -13,6 +13,7 @@ import os
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
+from operator import itemgetter
 from typing import Callable, Optional, Sequence
 
 from .errors import FreenessError, InputError, InvariantError, ResourceLimitError
@@ -160,6 +161,36 @@ class HomPoset:
                         stack.append(f)
         del found[start]
         return sorted(found.values())
+
+    def atoms_above(self, i: int) -> list:
+        """Ascending indices of the atoms ``psi`` above atom ``i`` in the
+        staircase order: ``phi(v) <= psi(v)`` in target order at every
+        vertex, ``psi != phi``, and the union ``phi | psi`` is an element.
+
+        Walks those unions: each vertex in turn keeps its color or adds one
+        larger color, at most once.  A union that is not an element is not
+        walked past, since multihoms are closed under shrinking sets; ``psi``
+        is read off each union found as its largest color per vertex.
+        """
+        index = self.index
+        start = self.elements[i]
+        limit = 1 << len(self.target.vertices)
+        out = []
+
+        def walk(union: tuple, top: tuple, first: int) -> None:
+            for pos in range(first, len(start)):
+                m = start[pos]
+                bit = m << 1
+                while bit < limit:
+                    u = union[:pos] + (m | bit,) + union[pos + 1:]
+                    if u in index:
+                        t = top[:pos] + (bit,) + top[pos + 1:]
+                        out.append(index[t])
+                        walk(u, t, pos + 1)
+                    bit <<= 1
+
+        walk(start, start, 0)
+        return sorted(out)
 
     @cached_property
     def atoms(self) -> tuple:
@@ -407,6 +438,14 @@ def enumerate_hom(source: Graph, target: Graph,
     return HomPoset(source, target, elements)
 
 
+def _precompose(pos: list) -> Callable[[tuple], tuple]:
+    """The map ``e -> (e[pos[0]], e[pos[1]], ...)`` on bitmask tuples."""
+    if len(pos) > 1:
+        return itemgetter(*pos)
+    # itemgetter of a single key returns the item itself, not a 1-tuple
+    return lambda e: tuple(e[p] for p in pos)
+
+
 def induced_involution(z: Z2Graph, poset: HomPoset,
                        name: str = "") -> HomPoset:
     """Attach the involution eta -> eta o gamma to Hom(T, G).
@@ -420,18 +459,15 @@ def induced_involution(z: Z2Graph, poset: HomPoset,
         raise InputError("induced involution requires a loopless target graph")
     if not z.is_flipping:
         raise InputError("induced involution requires a flipping involution")
-    gamma_pos = [z.graph.index(z.involution(v)) for v in z.graph.vertices]
-    perm = []
-    for i, e in enumerate(poset.elements):
-        image = tuple(e[p] for p in gamma_pos)
-        j = poset.index.get(image)
+    image = _precompose([z.graph.index(z.involution(v)) for v in z.graph.vertices])
+    perm = tuple(map(poset.index.get, map(image, poset.elements)))
+    for i, j in enumerate(perm):
         if j is None:
             raise InvariantError("involution image is not a poset element")
         if j == i:
             raise InvariantError(f"induced involution fixes element {i}")
-        perm.append(j)
     return HomPoset(poset.source, poset.target, poset.elements,
-                    involution=tuple(perm), involution_name=name)
+                    involution=perm, involution_name=name)
 
 
 def induced_map(f: GraphMap, poset: HomPoset,
@@ -444,8 +480,8 @@ def induced_map(f: GraphMap, poset: HomPoset,
     """
     if poset.source != f.target:
         raise InputError("poset source does not match the map's target graph")
-    pos = [f.target.index(f(v)) for v in f.source.vertices]
-    images = [tuple(e[p] for p in pos) for e in poset.elements]
+    image = _precompose([f.target.index(f(v)) for v in f.source.vertices])
+    images = list(map(image, poset.elements))
     if codomain is None:
         return images
     if codomain.source != f.source or codomain.target != poset.target:

@@ -130,19 +130,21 @@ class TestCliBasics:
                          "--export", str(out_path))
         assert code == 0
         data = json.loads(out_path.read_text())
-        assert len(data["quotient"]["simplices"][0]) == 6
+        # staircase Hom(K2, K3) is a hexagon: 6 atoms, 6 edges, halved
+        assert [len(level) for level in data["quotient"]["simplices"]] == [3, 3]
+        assert [len(table) for table in data["quotient"]["faces"]] == [3]
         assert data["w1"]["degree"] == 1 and data["w1"]["support"]
 
     def test_height_export_builds_complex_once(self, capsys, tmp_path,
                                                monkeypatch):
         _, plain, _ = run(capsys, "--json", "height", "K2", "swap", "K4")
         calls = []
-        original = complexes.order_complex
+        original = complexes.hom_complex
 
         def counted(*args, **kwargs):
             calls.append(args)
             return original(*args, **kwargs)
-        monkeypatch.setattr(complexes, "order_complex", counted)
+        monkeypatch.setattr(complexes, "hom_complex", counted)
         code, out, _ = run(capsys, "--json", "height", "K2", "swap", "K4",
                            "--export", str(tmp_path / "q.json"))
         assert code == 0 and len(calls) == 1 and out == plain

@@ -210,6 +210,11 @@ class TestConnectedGraphs:
         # connected graphs on 1..5 vertices up to isomorphism
         assert [len(connected_graphs(n)) for n in range(1, 6)] == [1, 1, 2, 6, 21]
 
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_no_vertices_rejected(self, n):
+        with pytest.raises(InputError):
+            connected_graphs(n)
+
     def test_all_connected_and_loopless(self):
         for g in connected_graphs(4):
             assert g.is_loopless()

@@ -6,8 +6,8 @@ from hypothesis import given, settings, strategies as st
 from homlab import (GraphMap, InputError, InvariantError, PathCertificate,
                     ResourceLimitError, complete, complete_flip, cycle,
                     enumerate_graph_maps, enumerate_hom, find_path,
-                    induced_involution, induced_map, is_multihom, paper_f,
-                    paper_gamma1, paper_gamma2, verify_certificate)
+                    induced_involution, induced_map, is_multihom, paper_T,
+                    paper_f, paper_gamma1, paper_gamma2, verify_certificate)
 from homlab.serialize import bundled_fig3_certificate
 
 
@@ -204,6 +204,21 @@ class TestAbove:
                                   if j != i and p.leq(i, j)]
 
 
+class TestAtomsAbove:
+    @pytest.mark.parametrize("source, m", [
+        (complete(2), 4), (complete(3), 4), (cycle(5), 3), (paper_T(), 3),
+    ])
+    def test_matches_definition(self, source, m):
+        # psi above phi: pointwise larger, different, and phi | psi an element
+        p = enumerate_hom(source, complete(m))
+        for i in p.atoms:
+            phi = p.elements[i]
+            assert p.atoms_above(i) == [
+                j for j in p.atoms if j != i
+                and all(a <= b for a, b in zip(phi, p.elements[j]))
+                and tuple(a | b for a, b in zip(phi, p.elements[j])) in p.index]
+
+
 class TestInducedInvolution:
     def test_fixed_point_free_order_two(self, hom_k2_k3_swap):
         perm = hom_k2_k3_swap.involution
@@ -274,6 +289,16 @@ class TestInducedMap:
         idx = induced_map(phi, big, codomain=small)
         for i in range(len(big)):
             assert idx[big.involution[i]] == small.involution[idx[i]]
+
+    def test_one_vertex_source(self, K2, K3, hom_k2_k3):
+        from homlab import Graph
+        point = Graph.build([1], [])
+        f = GraphMap.build(point, K2, (2,))
+        assert induced_map(f, hom_k2_k3) == [(e[1],) for e in hom_k2_k3.elements]
+        codomain = enumerate_hom(point, K3)
+        idx = induced_map(f, hom_k2_k3, codomain=codomain)
+        assert [codomain.elements[j] for j in idx] == \
+            [(e[1],) for e in hom_k2_k3.elements]
 
     def test_mismatched_poset_rejected(self, K2, K3, hom_k2_k3):
         incl = GraphMap.build(K2, K3, (1, 2))

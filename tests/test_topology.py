@@ -7,11 +7,11 @@ from hypothesis import assume, given, settings, strategies as st
 
 from homlab import (FreenessError, HomPoset, InputError,
                     OrderedDeltaComplex, betti_mod2, complete, complete_flip,
-                    conn_proxy, cup_power, cycle,
-                    cycle_reflection, enumerate_hom, induced_involution,
+                    conn_proxy, cup_power, cycle, cycle_reflection,
+                    enumerate_hom, hom_complex, induced_involution,
                     is_coboundary, order_complex, order_complex_from_relation,
-                    quotient_with_w1, sw_height, unit_class)
-from homlab.complexes import CocycleClass, coboundary
+                    paper_T, quotient_with_w1, sw_height, unit_class)
+from homlab.complexes import CocycleClass, _front_edges, coboundary, w1_height
 from homlab.errors import ResourceLimitError
 
 
@@ -77,6 +77,30 @@ class TestOrderedDeltaComplex:
             c = CocycleClass(x, d - 1, rng.integers(0, 2, x.n_simplices(d - 1),
                                                      dtype=np.uint8))
             assert np.array_equal(coboundary(c).values, dense.T @ c.values % 2)
+
+    def test_given_faces_match_derived(self, hom_k2_k4):
+        x = order_complex(hom_k2_k4)
+        y = OrderedDeltaComplex(x.simplices, faces=x.faces)
+        assert all(np.array_equal(a, b) for a, b in zip(x.faces, y.faces))
+
+    @pytest.mark.parametrize("tables", [
+        [None, [[1, 0], [2, 0], [2, 1]], [[2, 1]]],         # wrong shape
+        [None, [[1, 0], [2, 0], [2, 3]], [[2, 1, 0]]],      # no vertex 3
+        [None, [[1, 0], [2, 0], [2, 1]], [[1, 2, 0]]],      # d_0 d_2 != d_1 d_0
+    ])
+    def test_given_faces_checked(self, tables):
+        names = [[(0,), (1,), (2,)], [(0, 1), (0, 2), (1, 2)], [(0, 1, 2)]]
+        OrderedDeltaComplex(names, faces=[None, [[1, 0], [2, 0], [2, 1]],
+                                          [[2, 1, 0]]])
+        with pytest.raises(InputError):
+            OrderedDeltaComplex(names, faces=tables)
+
+    def test_front_edges_match_tuple_lookup(self, K2):
+        x = order_complex(enumerate_hom(K2, complete(5)))
+        for n in range(1, x.dim + 1):
+            assert _front_edges(x, n).tolist() == [
+                [x.simplex_index(1, s[i - 1:i + 1]) for i in range(1, n + 1)]
+                for s in x.simplices[n]]
 
 
 class TestBetti:
@@ -179,6 +203,63 @@ class TestOrderComplex:
         assert built[0] == built[1]
 
 
+def barycentric_height(poset) -> float:
+    """Oracle: the height on the order complex of the whole poset."""
+    if len(poset) == 0:
+        return -math.inf
+    _, w1 = quotient_with_w1(order_complex(poset), dict(enumerate(poset.involution)))
+    return w1_height(w1)
+
+
+class TestHomComplex:
+    @pytest.mark.parametrize("source, m, counts", [
+        (complete(2), 6, [30, 210, 560, 630, 252]),
+        (cycle(5), 4, [240, 1680, 2880, 1440]),
+        (paper_T(), 3, [600, 1560, 960]),
+    ])
+    def test_simplex_counts(self, source, m, counts):
+        x = hom_complex(enumerate_hom(source, complete(m)))
+        assert [x.n_simplices(d) for d in range(x.dim + 1)] == counts
+
+    def test_vertices_are_atoms(self, hom_k2_k3):
+        x = hom_complex(hom_k2_k3)
+        assert [s[0] for s in x.simplices[0]] == list(hom_k2_k3.atoms)
+        assert betti_mod2(x) == (1, 1)
+
+    def test_chain_cap(self, K2):
+        poset = enumerate_hom(K2, complete(7))
+        assert sum(map(len, hom_complex(poset, max_chains=8988).simplices)) == 8988
+        with pytest.raises(ResourceLimitError):
+            hom_complex(poset, max_chains=8987)
+
+    def test_k2_k7_height_inside_chain_budget(self, K2):
+        poset = induced_involution(complete_flip(2), enumerate_hom(K2, complete(7)))
+        res = sw_height(poset, max_chains=100_000)
+        assert (res.value, res.exact) == (5, True)
+
+    def test_sw_height_never_builds_order_complex(self, hom_k2_k4_swap, monkeypatch):
+        from homlab import complexes
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("sw_height built the order complex")
+        monkeypatch.setattr(complexes, "order_complex", refuse)
+        assert sw_height(hom_k2_k4_swap).value == 2
+
+    @settings(max_examples=80, deadline=None, derandomize=True, database=None)
+    @given(st.data())
+    def test_matches_order_complex(self, small_graphs, data):
+        z = data.draw(st.sampled_from(
+            [complete_flip(2), complete_flip(3), cycle_reflection(5)]))
+        target = data.draw(small_graphs(1, loops=False))
+        try:
+            poset = induced_involution(
+                z, enumerate_hom(z.graph, target, max_elements=1000))
+        except ResourceLimitError:
+            assume(False)
+        assert sw_height(poset).value == barycentric_height(poset)
+        assert betti_mod2(hom_complex(poset)) == betti_mod2(order_complex(poset))
+
+
 class TestQuotient:
     def test_hexagon_antipodal_gives_triangle(self):
         q, w1 = quotient_with_w1(hexagon(), {i: (i + 3) % 6 for i in range(6)})
@@ -223,6 +304,27 @@ class TestQuotient:
         q, _ = quotient_with_w1(x, tau)
         for d in range(x.dim + 1):
             assert 2 * q.n_simplices(d) == x.n_simplices(d)
+
+    def test_staircase_orbits_sharing_a_vertex_tuple(self, hom_k2_k4_swap):
+        x = hom_complex(hom_k2_k4_swap)
+        tau = dict(enumerate(hom_k2_k4_swap.involution))
+        q, w1 = quotient_with_w1(x, tau)
+        section = {v: min(v, tau[v]) for (v,) in x.simplices[0]}
+        # naming an orbit by the section's vertices would merge two orbits
+        assert any(len({tuple(section[v] for v in s) for s in level}) < len(level)
+                   for level in q.simplices)
+        assert [q.n_simplices(d) for d in range(3)] == [6, 15, 10]
+        for d in range(1, q.dim + 1):
+            for k, lift in enumerate(q.simplices[d]):
+                assert lift in x.simplices[d]
+                for i in range(d + 1):
+                    face = lift[:i] + lift[i + 1:]
+                    assert q.simplices[d - 1][q.faces[d][k, i]] in (
+                        face, tuple(tau[v] for v in face))
+        for (a, b), value in zip(q.simplices[1], w1.values):
+            assert value == ((section[a] == a) != (section[b] == b))
+        assert betti_mod2(q) == (1, 1, 1)  # the projective plane
+        assert not is_coboundary(cup_power(w1, 2))
 
     def test_w1_class_independent_of_labeling(self):
         # relabel the hexagon so the canonical orbit sections differ; the
