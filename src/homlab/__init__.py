@@ -12,10 +12,9 @@ from .graphs import (Graph, GraphMap, RetractionWitness, Z2Graph, builtin,
 from .hom import (CertificateCheck, HomPoset, Multihom, PathCertificate,
                   enumerate_graph_maps, enumerate_hom, find_path, induced_involution,
                   induced_map, is_multihom, verify_certificate)
-from .complexes import (CocycleClass, ConnResult, HeightResult,
-                        OrderedDeltaComplex, betti_mod2, conn_proxy, cup_power,
-                        hom_complex, is_coboundary, order_complex,
-                        order_complex_from_relation, quotient_with_w1,
+from .complexes import (CellComplex, CocycleClass, ConnResult, HeightResult,
+                        betti_mod2, conn_proxy, cup_power, hom_complex,
+                        is_coboundary, order_complex, quotient_with_w1,
                         sw_height, unit_class)
 from .bounds import (BoundReport, PipelineReport, StageResult, bound_suite,
                      check_ht_bound, check_swt_bound, theorem1_pipeline,

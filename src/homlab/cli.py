@@ -64,7 +64,8 @@ def cmd_hom(args) -> int:
     if args.export:
         x = complexes.order_complex(poset)
         with open(args.export, "w") as fh:
-            fh.write(serialize.dumps(x.export()))
+            fh.write(serialize.dumps(
+                {"simplices": [[list(s) for s in level] for level in x.cells]}))
     if args.components:
         comps = poset.components()
         payload = {"size": len(poset), "atoms": len(poset.atoms),
@@ -84,11 +85,12 @@ def cmd_height(args) -> int:
     g = serialize.load_graph(args.G)
     poset = hom.induced_involution(z, hom.enumerate_hom(t, g))
     if args.export and args.method == "full":
-        quotient, w1 = complexes.quotient_with_w1(
-            complexes.hom_complex(poset), dict(enumerate(poset.involution)))
+        quotient, w1 = complexes.quotient_with_w1(complexes.hom_complex(poset),
+                                                  poset.involution)
+        cells = {"cells": [list(level) for level in quotient.cells],
+                 "faces": [table.rows() for table in quotient.faces[1:]]}
         with open(args.export, "w") as fh:
-            fh.write(serialize.dumps(
-                {"quotient": quotient.export(faces=True), "w1": w1.export()}))
+            fh.write(serialize.dumps({"quotient": cells, "w1": w1.export()}))
         res = complexes.HeightResult(complexes.w1_height(w1), True, "full")
     else:
         res = complexes.sw_height(poset, method=args.method)
@@ -244,8 +246,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("G")
     sp.add_argument("--method", choices=["full", "component"], default="full")
     sp.add_argument("--export", metavar="PATH",
-                    help="write the quotient of the staircase complex, with its "
-                         "face tables, and the w1 cocycle as JSON")
+                    help="write the quotient cells of the Hom complex, with their "
+                         "face lists, and the w1 cocycle as JSON")
     sp.set_defaults(fn=cmd_height)
 
     sp = add_parser("betti", help="mod-2 Betti numbers of Hom(G, H)")

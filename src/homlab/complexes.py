@@ -1,20 +1,20 @@
-"""Ordered Delta-complexes, order complexes of posets, free quotients with the
-first Stiefel-Whitney cocycle, mod-2 (co)homology, cup powers, and the height
-and connectivity invariants.
+"""Mod-2 cell complexes: the Hom complex on its own cells, order complexes of
+posets, free quotients with the first Stiefel-Whitney cocycle, mod-2
+(co)homology, cup powers, and the height and connectivity invariants.
 
-Simplices are ordered tuples of distinct vertex identifiers; face maps are
-tuple deletion (or, for a quotient, given tables), and each complex keeps the
-index of every face of every simplex.  Boundaries and coboundaries are read
-off that table as sparse bit rows, and all rank and membership questions go
-to the one GF(2) elimination in :mod:`homlab.gf2`; no operator is ever stored
-as a dense matrix.
+Every complex is a :class:`CellComplex`: each cell keeps its face list (the
+cells of its mod-2 boundary) and its top pairs (which carry the cup
+product).  Boundaries and coboundaries are read off the face lists as
+sparse bit rows, and all rank and membership questions go to the one GF(2)
+elimination in :mod:`homlab.gf2`; no operator is ever stored as a dense
+matrix.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -23,12 +23,11 @@ from .gf2 import rank_sparse, reduce, span
 from .hom import HomPoset, default_max_elements
 
 __all__ = [
-    "OrderedDeltaComplex",
+    "CellComplex",
     "CocycleClass",
     "HeightResult",
     "ConnResult",
     "order_complex",
-    "order_complex_from_relation",
     "hom_complex",
     "quotient_with_w1",
     "betti_mod2",
@@ -41,26 +40,85 @@ __all__ = [
 ]
 
 
-class OrderedDeltaComplex:
-    """Simplices by dimension, each an ordered tuple of distinct vertices.
+class Table(NamedTuple):
+    """Ragged rows over the cells of one dimension: row ``j`` is
+    ``entries[starts[j]:starts[j + 1]]``."""
 
-    Simplex tuples are unique per dimension.  Without ``faces``, every face
-    (obtained by deleting one position) of every simplex must be present and
-    is resolved by tuple lookup.  With ``faces`` (one table per dimension, as
-    in the ``faces`` attribute), the tuples only name the simplices and the
-    tables give the face maps, which must satisfy the simplicial identities;
-    a quotient complex is built this way, since its faces are not tuple
-    deletions of its names.
+    starts: np.ndarray
+    entries: np.ndarray
+
+    @classmethod
+    def empty(cls, n: int, width: tuple = ()) -> "Table":
+        """``n`` empty rows; ``width`` is the shape of one entry."""
+        return cls(np.zeros(n + 1, dtype=np.intp), np.zeros((0,) + width, dtype=np.intp))
+
+    @classmethod
+    def from_owners(cls, owner: np.ndarray, entries: np.ndarray, n: int) -> "Table":
+        """Rows from each entry's row index; ``owner`` must be ascending."""
+        starts = np.zeros(n + 1, dtype=np.intp)
+        np.cumsum(np.bincount(owner, minlength=n), out=starts[1:])
+        return cls(starts, entries)
+
+    def fits(self, n: int, width: tuple, bounds: list) -> bool:
+        """Whether this has ``n`` rows of entries of shape ``width``, each
+        column in ``[0, bound)``."""
+        starts, entries = self
+        return (starts.shape == (n + 1,) and starts[0] == 0
+                and starts[-1] == len(entries) and not (np.diff(starts) < 0).any()
+                and entries.shape[1:] == width
+                and not (entries.size and ((entries < 0).any()
+                                           or (entries >= bounds).any())))
+
+    def owner(self) -> np.ndarray:
+        """The row index of every entry."""
+        return np.repeat(np.arange(len(self.starts) - 1), np.diff(self.starts))
+
+    def rows(self) -> list:
+        entries = self.entries.tolist()
+        starts = self.starts.tolist()
+        return [entries[a:b] for a, b in zip(starts, starts[1:])]
+
+
+class CellComplex:
+    """A finite cell complex over GF(2), its cells named and grouped by
+    dimension.
+
+    ``cells[d][j]`` names the d-cell ``j``; ``faces[d]`` lists the
+    (d-1)-cells of each d-cell's mod-2 boundary, and ``tops[d]`` its top
+    pairs ``(f, e)``: a (d-1)-face ``f`` and the 1-cell ``e`` from the last
+    vertex of ``f`` to the last vertex of the cell.  :func:`cup_power` runs
+    on the top pairs.  Both tables are empty in dimension 0.
     """
 
-    def __init__(self, simplices_by_dim: Sequence[Sequence[tuple]],
-                 faces: Optional[Sequence] = None):
-        dims = [tuple(tuple(s) for s in level) for level in simplices_by_dim]
-        while dims and not dims[-1]:
-            dims.pop()
-        self.simplices = tuple(dims)
-        self._index = []
-        for d, level in enumerate(self.simplices):
+    def __init__(self, cells: Sequence[Sequence], faces: Sequence[Table],
+                 tops: Sequence[Table]):
+        levels = [tuple(level) for level in cells]
+        while levels and not levels[-1]:
+            levels.pop()
+        self.cells = tuple(levels)
+        self.faces = tuple(faces[:len(levels)])
+        self.tops = tuple(tops[:len(levels)])
+        if not len(self.faces) == len(self.tops) == len(levels):
+            raise InputError("a complex needs face and top tables in every dimension")
+        for d, (face, top) in enumerate(zip(self.faces, self.tops)):
+            n, below = self.n_cells(d), self.n_cells(d - 1)
+            if not (face.fits(n, (), [below])
+                    and top.fits(n, (2,), [below, self.n_cells(1)])):
+                raise InputError(f"cell table of dimension {d} is malformed")
+
+    @classmethod
+    def simplicial(cls, simplices_by_dim: Sequence[Sequence[tuple]]) -> "CellComplex":
+        """The ordered simplicial complex on the given vertex tuples.
+
+        Every face (one position deleted) of every simplex must be present.
+        A simplex's one top pair is its face omitting the last vertex and its
+        last edge, so :func:`cup_power` is the front-face product.
+        """
+        levels = [[tuple(s) for s in level] for level in simplices_by_dim]
+        while levels and not levels[-1]:
+            levels.pop()
+        index, faces, tops = [], [], []
+        for d, level in enumerate(levels):
             idx = {}
             for s in level:
                 if len(s) != d + 1:
@@ -70,194 +128,157 @@ class OrderedDeltaComplex:
                 if s in idx:
                     raise InputError(f"duplicate simplex {s!r}")
                 idx[s] = len(idx)
-            self._index.append(idx)
-        # faces[d][j, i]: index of the face of simplex j of dimension d
-        # that omits its vertex i
-        self.faces = tuple(self._face_tables() if faces is None
-                           else self._checked_faces(faces))
-
-    def _face_tables(self) -> list:
-        faces = [np.zeros((self.n_simplices(0), 0), dtype=np.intp)]
-        for d in range(1, len(self.simplices)):
-            below, table = self._index[d - 1], []
-            for s in self.simplices[d]:
+            index.append(idx)
+            if d == 0:
+                faces.append(Table.empty(len(level)))
+                tops.append(Table.empty(len(level), (2,)))
+                continue
+            below, table = index[d - 1], []
+            for s in level:
                 row = []
-                for i in range(len(s)):
+                for i in range(d + 1):
                     face = s[:i] + s[i + 1:]
                     if face not in below:
                         raise InputError(f"face {face!r} of {s!r} is missing")
                     row.append(below[face])
                 table.append(row)
-            faces.append(np.array(table, dtype=np.intp))
-        return faces
-
-    def _checked_faces(self, faces: Sequence) -> list:
-        out = [np.zeros((self.n_simplices(0), 0), dtype=np.intp)]
-        for d in range(1, len(self.simplices)):
-            table = np.asarray(faces[d], dtype=np.intp)
-            if table.shape != (self.n_simplices(d), d + 1):
-                raise InputError(f"face table of dimension {d} has shape {table.shape}")
-            if table.size and not 0 <= table.min() <= table.max() < self.n_simplices(d - 1):
-                raise InputError(f"face table of dimension {d} points outside "
-                                 f"dimension {d - 1}")
-            if d >= 2:  # d_i d_j = d_{j-1} d_i for i < j
-                below = out[-1]
-                for j in range(1, d + 1):
-                    for i in range(j):
-                        if not np.array_equal(below[table[:, j], i],
-                                              below[table[:, i], j - 1]):
-                            raise InputError(f"face tables of dimension {d} break "
-                                             "the simplicial identities")
-            out.append(table)
-        return out
+            table = np.array(table, dtype=np.intp).reshape(len(level), d + 1)
+            row = np.arange(len(level))
+            # the last edge of (v0..vd) is that of its face omitting v0
+            last = row if d == 1 else tops[-1].entries[table[:, 0], 1]
+            faces.append(Table.from_owners(np.repeat(row, d + 1), table.ravel(), len(level)))
+            tops.append(Table.from_owners(row, np.stack([table[:, d], last], axis=1),
+                                          len(level)))
+        return cls(levels, faces, tops)
 
     @property
     def dim(self) -> int:
-        return len(self.simplices) - 1
+        return len(self.cells) - 1
 
     def is_empty(self) -> bool:
-        return not self.simplices
+        return not self.cells
 
-    def n_simplices(self, d: int) -> int:
-        if 0 <= d < len(self.simplices):
-            return len(self.simplices[d])
+    def n_cells(self, d: int) -> int:
+        if 0 <= d < len(self.cells):
+            return len(self.cells[d])
         return 0
 
-    def simplex_index(self, d: int, s: tuple) -> int:
-        try:
-            return self._index[d][tuple(s)]
-        except (IndexError, KeyError):
-            raise InputError(f"no {d}-simplex {s!r}") from None
-
-    def export(self, faces: bool = False) -> dict:
-        """The simplices by dimension; with ``faces``, also the face tables
-        of dimensions 1 and up, which a complex given its tables needs."""
-        out = {"simplices": [[list(s) for s in level] for level in self.simplices]}
-        if faces:
-            out["faces"] = [table.tolist() for table in self.faces[1:]]
-        return out
+    # an order complex's cells are its simplices
+    n_simplices = n_cells
 
 
-def _boundary_rank(x: OrderedDeltaComplex, d: int) -> int:
-    """GF(2) rank of the boundary from d-chains, one bit row per d-simplex."""
+def _boundary_rank(x: CellComplex, d: int) -> int:
+    """GF(2) rank of the boundary from d-chains, one bit row per d-cell."""
     if d <= 0 or d > x.dim:
         return 0
-    return rank_sparse(x.faces[d].tolist(), x.n_simplices(d - 1))
+    return rank_sparse(x.faces[d].rows(), x.n_cells(d - 1))
 
 
-def betti_mod2(x: OrderedDeltaComplex, reduced: bool = False) -> tuple:
+def betti_mod2(x: CellComplex, reduced: bool = False) -> tuple:
     """GF(2) Betti numbers b_0..b_dim (reduced variant subtracts one from b_0)."""
     if x.is_empty():
         return ()
     ranks = [_boundary_rank(x, d) for d in range(x.dim + 2)]
-    out = [x.n_simplices(d) - ranks[d] - ranks[d + 1] for d in range(x.dim + 1)]
+    out = [x.n_cells(d) - ranks[d] - ranks[d + 1] for d in range(x.dim + 1)]
     if reduced:
         out[0] -= 1
     return tuple(out)
 
 
 # ---------------------------------------------------------------------------
-# Order complexes and the staircase Hom complex
+# Order complexes and the Hom complex
 
 
-def _chains(n: int, above: Callable[[int], list],
-            max_chains: Optional[int]) -> OrderedDeltaComplex:
-    """Order complex of the poset on 0..n-1 whose up-sets ``above`` lists.
+def order_complex(poset, max_chains: Optional[int] = None) -> CellComplex:
+    """Order complex of a poset on 0..n-1, n = ``len(poset)``, whose
+    ascending up-sets ``poset.above(i)`` lists (a Hom poset walks them over
+    upper covers).
 
     Simplices are the chains, ordered ascending; raises ResourceLimitError
     beyond the chain cap.  ``above(i)`` is asked on the first chain that
     ends at ``i``, so the cap bounds the up-set work too.
     """
     cap = default_max_elements() if max_chains is None else max_chains
-    greater = [None] * n
+    greater = [None] * len(poset)
     levels = []
     count = 0
     chain = []
 
-    def record() -> None:
+    def extend(last: int) -> None:
         nonlocal count
         count += 1
         if count > cap:
             raise ResourceLimitError(f"order complex exceeds the cap of {cap} chains")
-        d = len(chain) - 1
-        while len(levels) <= d:
+        if len(levels) < len(chain):
             levels.append([])
-        levels[d].append(tuple(chain))
-
-    def extend(last: int) -> None:
-        record()
+        levels[len(chain) - 1].append(tuple(chain))
         if greater[last] is None:
-            greater[last] = above(last)
+            greater[last] = poset.above(last)
         for j in greater[last]:
             chain.append(j)
             extend(j)
             chain.pop()
 
-    for i in range(n):
+    for i in range(len(poset)):
         chain = [i]
         extend(i)
     for level in levels:
         level.sort()
-    return OrderedDeltaComplex(levels)
+    return CellComplex.simplicial(levels)
 
 
-def order_complex_from_relation(n: int, leq: Callable[[int, int], bool],
-                                max_chains: Optional[int] = None) -> OrderedDeltaComplex:
-    """Order complex of the poset on 0..n-1 under ``leq``; each up-set is a
-    scan of ``leq`` over all n elements."""
-    return _chains(n, lambda i: [j for j in range(n) if j != i and leq(i, j)],
-                   max_chains)
+def hom_complex(poset: HomPoset, max_cells: Optional[int] = None) -> CellComplex:
+    """The Hom complex on its own cells (Babson-Kozlov).
 
-
-def order_complex(poset: HomPoset,
-                  max_chains: Optional[int] = None) -> OrderedDeltaComplex:
-    """Order complex of a Hom poset; vertices are element indices and each
-    up-set is walked over upper covers by ``HomPoset.above``."""
-    return _chains(len(poset), poset.above, max_chains)
-
-
-def hom_complex(poset: HomPoset,
-                max_chains: Optional[int] = None) -> OrderedDeltaComplex:
-    """Staircase (Eilenberg-Zilber) triangulation of the Hom complex.
-
-    Each element is a cell, the product of the simplices on its color sets;
-    ordering each set by target index triangulates every product by its
-    monotone chains.  The vertices are the atoms (element indices of graph
-    maps), and the simplices are the chains of atoms that are pairwise
-    related under ``HomPoset.atoms_above``, ascending: pointwise order
-    implies canonical order, so a chain ascends in index too.  Chains are
-    walked in lexicographic order by intersecting up-neighbor bitsets over
-    atom positions; raises ResourceLimitError beyond the chain cap.
+    Each element ``eta`` is a cell, the product of the simplices on its
+    color sets, named by its index, of dimension ``sum(|eta(v)| - 1)``; the
+    vertices are the atoms.  Its faces drop one color from one set of size
+    at least 2.  Its top pairs are, for each such set ``eta(v)``, the face
+    ``eta - top_v`` dropping the largest color of ``eta(v)`` and the 1-cell
+    from ``max(eta - top_v)`` to ``max eta``, where ``max`` takes the
+    largest color of every set.  Raises ResourceLimitError beyond the cell
+    cap.
     """
-    cap = default_max_elements() if max_chains is None else max_chains
-    atoms = poset.atoms
-    slot = {a: k for k, a in enumerate(atoms)}
-    up = []
-    for a in atoms:
-        bits = 0
-        for b in poset.atoms_above(a):
-            bits |= 1 << slot[b]
-        up.append(bits)
-    levels = []
-    count = 0
+    cap = default_max_elements() if max_cells is None else max_cells
+    if len(poset) > cap:
+        raise ResourceLimitError(f"Hom complex exceeds the cap of {cap} cells")
+    index = poset.index
+    dims = [sum(m.bit_count() for m in e) - len(e) for e in poset.elements]
+    cells = [[] for _ in range(max(dims, default=-1) + 1)]
+    pos = []
+    for i, d in enumerate(dims):
+        pos.append(len(cells[d]))
+        cells[d].append(i)
+    # per dimension: the position of the cell owning each entry, and the entry
+    face_rows = [([], []) for _ in cells]
+    top_rows = [([], []) for _ in cells]
+    for e, d, p in zip(poset.elements, dims, pos):
+        peak = tuple(1 << (m.bit_length() - 1) for m in e)
+        (face_owner, face), (top_owner, top) = face_rows[d], top_rows[d]
+        for v, m in enumerate(e):
+            if m == peak[v]:
+                continue
+            head, tail = e[:v], e[v + 1:]
+            rest = m
+            while rest:
+                bit = rest & -rest
+                rest ^= bit
+                face_owner.append(p)
+                face.append(pos[index[head + (m ^ bit,) + tail]])
+            # the last face found dropped the largest color, peak[v]
+            second = 1 << ((m ^ peak[v]).bit_length() - 1)
+            edge = index[peak[:v] + (peak[v] | second,) + peak[v + 1:]]
+            top_owner.append(p)
+            top.append((face[-1], pos[edge]))
 
-    def extend(chain: tuple, candidates: int) -> None:
-        nonlocal count
-        count += 1
-        if count > cap:
-            raise ResourceLimitError(f"Hom complex exceeds the cap of {cap} chains")
-        if len(levels) < len(chain):
-            levels.append([])
-        levels[len(chain) - 1].append(chain)
-        while candidates:
-            low = candidates & -candidates
-            candidates ^= low
-            k = low.bit_length() - 1
-            extend(chain + (atoms[k],), candidates & up[k])
-
-    for k, a in enumerate(atoms):
-        extend((a,), up[k])
-    return OrderedDeltaComplex(levels)
+    return CellComplex(
+        cells,
+        [Table.from_owners(np.array(owner, dtype=np.intp),
+                           np.array(face, dtype=np.intp), len(level))
+         for (owner, face), level in zip(face_rows, cells)],
+        [Table.from_owners(np.array(owner, dtype=np.intp),
+                           np.array(top, dtype=np.intp).reshape(-1, 2), len(level))
+         for (owner, top), level in zip(top_rows, cells)])
 
 
 # ---------------------------------------------------------------------------
@@ -268,9 +289,9 @@ def hom_complex(poset: HomPoset,
 class CocycleClass:
     """A GF(2) cocycle representative on a fixed complex and degree."""
 
-    complex: OrderedDeltaComplex
+    complex: CellComplex
     degree: int
-    values: np.ndarray  # uint8, aligned with simplices of that degree
+    values: np.ndarray  # uint8, aligned with cells of that degree
 
     def is_zero(self) -> bool:
         return not self.values.any()
@@ -285,70 +306,121 @@ class CocycleClass:
         }
 
 
+def _row_sums(table: Table, values: np.ndarray, n: int) -> np.ndarray:
+    """Per row, the mod-2 sum of ``values`` over the row's entries."""
+    sums = np.bincount(table.owner(), weights=values, minlength=n)
+    return (sums.astype(np.int64) & 1).astype(np.uint8)
+
+
 def coboundary(c: CocycleClass) -> CocycleClass:
     """delta c, a cochain one degree up."""
     x, k = c.complex, c.degree
     if k + 1 > x.dim:
         return CocycleClass(x, k + 1, np.zeros(0, dtype=np.uint8))
-    vals = c.values[x.faces[k + 1]].sum(1) & 1
-    return CocycleClass(x, k + 1, vals.astype(np.uint8))
+    table = x.faces[k + 1]
+    return CocycleClass(x, k + 1, _row_sums(table, c.values[table.entries],
+                                            x.n_cells(k + 1)))
 
 
-def quotient_with_w1(x: OrderedDeltaComplex, tau: dict):
-    """Quotient of a free simplicial involution, plus the twist cocycle of the
+def _same_rows(a: Sequence[np.ndarray], b: Sequence[np.ndarray]) -> bool:
+    """Whether the aligned columns ``a`` and ``b`` hold the same rows, as
+    multisets."""
+    oa, ob = np.lexsort(a[::-1]), np.lexsort(b[::-1])
+    return all(np.array_equal(p[oa], q[ob]) for p, q in zip(a, b))
+
+
+def _boundary_squares_to_zero(x: CellComplex) -> bool:
+    """Whether every face of a face of each cell is met an even number of
+    times, i.e. the mod-2 boundary squares to zero."""
+    for d in range(2, x.dim + 1):
+        outer, inner = x.faces[d], x.faces[d - 1]
+        lengths = np.diff(inner.starts)[outer.entries]
+        # entry k of the concatenated face rows of the faces sits at
+        # inner.starts[face] + (k - the number of entries before that face)
+        before = np.cumsum(lengths) - lengths
+        at = np.repeat(inner.starts[outer.entries] - before, lengths)
+        grand = inner.entries[at + np.arange(lengths.sum())]
+        keys = np.repeat(outer.owner(), lengths) * x.n_cells(d - 2) + grand
+        if (np.unique(keys, return_counts=True)[1] & 1).any():
+            return False
+    return True
+
+
+def quotient_with_w1(x: CellComplex, tau):
+    """Quotient of a free cellular involution, plus the twist cocycle of the
     resulting double cover.
 
-    ``tau`` maps vertices to vertices; it must be simplicial, of order two,
-    and move every simplex entirely off itself.  A quotient simplex is a
-    tau-orbit of simplices, named by its representative lift (the one met
-    first), and the face of an orbit is the orbit of the lift's face, so the
-    quotient carries its face tables.  The vertex lifts are the section of
-    the cover; the degree-1 cocycle takes value 1 on an edge orbit with lift
-    ``(a, b)`` exactly when one of ``a``, ``b`` is in the section and the
-    other is not.
+    ``tau[name]`` names the image of the cell ``name``.  tau must send
+    d-cells to d-cells, be of order two, fix no cell, and commute with the
+    face lists and top pairs.  A quotient cell is a tau-orbit of cells,
+    named by its lift (the one of lower index).  Its faces are the orbits of
+    its lift's faces, summed mod 2, so two faces in one orbit cancel; its
+    top pairs are the orbits of its lift's.  The vertex lifts are the
+    section of the cover; the degree-1 cocycle takes value 1 on an edge
+    orbit whose lift joins a vertex of the section to one outside it.
     """
     if x.is_empty():
         return x, CocycleClass(x, 1, np.zeros(0, dtype=np.uint8))
-    verts = [s[0] for s in x.simplices[0]]
-    vpos = {v: i for i, v in enumerate(verts)}
-    for v in verts:
-        if tau.get(v) not in vpos:
-            raise InputError(f"involution undefined or off-complex at {v!r}")
-        if tau[tau[v]] != v:
+    image, orbit_of, lifts = [], [], []
+    for d, level in enumerate(x.cells):
+        pos = {name: j for j, name in enumerate(level)}
+        img = np.empty(len(level), dtype=np.intp)
+        for j, name in enumerate(level):
+            try:
+                img[j] = pos[tau[name]]
+            except (KeyError, IndexError, TypeError):
+                raise InputError(f"involution does not send the {d}-cell {name!r} "
+                                 f"to a {d}-cell") from None
+        idx = np.arange(len(level))
+        if (img[img] != idx).any():
             raise InputError("involution is not of order two")
-
-    image = tau.__getitem__
-    orbit_of = []  # per dim: orbit index of every simplex
-    lifts = []  # per dim: index of each orbit's representative lift
-    for d, level in enumerate(x.simplices):
-        index = x._index[d]
-        orbit = [-1] * len(level)
-        reps = []
-        for j, s in enumerate(level):
-            if orbit[j] >= 0:
-                continue  # the image of a lift already taken
-            ts = tuple(map(image, s))
-            t = index.get(ts)
-            if t is None:
-                raise InputError(f"involution is not simplicial on {s!r}")
-            if not set(s).isdisjoint(ts):
-                raise FreenessError(f"simplex {s!r} meets its image")
-            orbit[j] = orbit[t] = len(reps)
-            reps.append(j)
+        fixed = np.flatnonzero(img == idx)
+        if fixed.size:
+            raise FreenessError(f"involution fixes the cell {level[fixed[0]]!r}")
+        reps = np.flatnonzero(idx < img)
         if 2 * len(reps) != len(level):
-            raise InvariantError("free quotient must halve each simplex count")
-        orbit_of.append(np.array(orbit, dtype=np.intp))
-        lifts.append(np.array(reps, dtype=np.intp))
-    quotient = OrderedDeltaComplex(
-        [[level[j] for j in reps] for level, reps in zip(x.simplices, lifts)],
-        faces=[orbit_of[d - 1][x.faces[d][lifts[d]]] if d else None
-               for d in range(len(lifts))])
+            raise InvariantError("free quotient must halve each cell count")
+        orbit = np.empty(len(level), dtype=np.intp)
+        orbit[reps] = orbit[img[reps]] = np.arange(len(reps))
+        image.append(img)
+        orbit_of.append(orbit)
+        lifts.append(reps)
 
-    # vertex j is in the section iff it is its orbit's lift
-    in_section = lifts[0][orbit_of[0]] == np.arange(len(verts))
+    faces, tops = [Table.empty(len(lifts[0]))], [Table.empty(len(lifts[0]), (2,))]
+    for d in range(1, len(lifts)):
+        face, top = x.faces[d], x.tops[d]
+        face_owner, top_owner = face.owner(), top.owner()
+        lower = image[d - 1]
+        if not (_same_rows([image[d][face_owner], lower[face.entries]],
+                           [face_owner, face.entries])
+                and _same_rows([image[d][top_owner], lower[top.entries[:, 0]],
+                                image[1][top.entries[:, 1]]],
+                               [top_owner, top.entries[:, 0], top.entries[:, 1]])):
+            raise InputError(f"involution does not commute with the faces of "
+                             f"the {d}-cells")
+        n, m = len(lifts[d]), len(lifts[d - 1])
+        # the lift rows' (orbit, face orbit) pairs met an odd number of times
+        lift = image[d][face_owner] > face_owner
+        keys, counts = np.unique(orbit_of[d][face_owner[lift]] * m
+                                 + orbit_of[d - 1][face.entries[lift]],
+                                 return_counts=True)
+        keys = keys[counts % 2 == 1]
+        faces.append(Table.from_owners(keys // m, keys % m, n))
+        lift = image[d][top_owner] > top_owner
+        tops.append(Table.from_owners(
+            orbit_of[d][top_owner[lift]],
+            np.stack([orbit_of[d - 1][top.entries[lift, 0]],
+                      orbit_of[1][top.entries[lift, 1]]], axis=1), n))
+    quotient = CellComplex([[level[j] for j in reps]
+                            for level, reps in zip(x.cells, lifts)], faces, tops)
+    if not _boundary_squares_to_zero(quotient):
+        raise InvariantError("the quotient's boundary does not square to zero")
+
+    # a vertex is in the section iff it is its orbit's lift
+    in_section = np.arange(x.n_cells(0)) < image[0]
     if quotient.dim >= 1:
-        ends = x.faces[1][lifts[1]]  # the two vertex indices of each edge lift
-        w1_vals = (in_section[ends[:, 0]] ^ in_section[ends[:, 1]]).astype(np.uint8)
+        edges = x.faces[1]
+        w1_vals = _row_sums(edges, in_section[edges.entries], x.n_cells(1))[lifts[1]]
     else:
         w1_vals = np.zeros(0, dtype=np.uint8)
     w1 = CocycleClass(quotient, 1, w1_vals)
@@ -357,30 +429,21 @@ def quotient_with_w1(x: OrderedDeltaComplex, tau: dict):
     return quotient, w1
 
 
-def unit_class(x: OrderedDeltaComplex) -> CocycleClass:
+def unit_class(x: CellComplex) -> CocycleClass:
     """The degree-0 class with value 1 on every vertex."""
-    return CocycleClass(x, 0, np.ones(x.n_simplices(0), dtype=np.uint8))
-
-
-def _front_edges(x: OrderedDeltaComplex, n: int) -> np.ndarray:
-    """edges[j, i]: index of the edge (v_i, v_{i+1}) of n-simplex j, n >= 1.
-
-    Read off the face tables: the first n - 1 edges are those of the face
-    omitting v_n, and the last is the last edge of the face omitting v_0.
-    """
-    edges = np.arange(x.n_simplices(1), dtype=np.intp)[:, None]
-    for d in range(2, n + 1):
-        f = x.faces[d]
-        edges = np.hstack([edges[f[:, d]], edges[f[:, 0], -1:]])
-    return edges
+    return CocycleClass(x, 0, np.ones(x.n_cells(0), dtype=np.uint8))
 
 
 def cup_power(z: CocycleClass, n: int) -> CocycleClass:
-    """n-th cup power of a degree-1 cocycle via the front/back-face product.
+    """n-th cup power of a degree-1 cocycle by the path recursion over top
+    pairs: ``P`` is 1 on every vertex, and on a d-cell ``c``
+    ``P(c) = sum over the top pairs (f, e) of c of P(f) * z(e)``.
 
-    On an n-simplex (v0, ..., vn) the value is the product of z on the
-    consecutive edges (v_{i-1}, v_i).  Degrees above the complex dimension
-    give the zero class.
+    On an ordered simplex this is the front-face product, ``z`` on the
+    consecutive edges.  On a Hom cell it counts the monotone paths through
+    the cell's atoms, each weighted by ``z`` on its steps: the staircase
+    (Eilenberg-Zilber) triangulation's front-face product pulled back to
+    the cell.  Degrees above the complex dimension give the zero class.
     """
     if z.degree != 1:
         raise InputError("cup_power expects a degree-1 cocycle")
@@ -389,7 +452,11 @@ def cup_power(z: CocycleClass, n: int) -> CocycleClass:
         return unit_class(x)
     if n > x.dim:
         return CocycleClass(x, n, np.zeros(0, dtype=np.uint8))
-    vals = z.values[_front_edges(x, n)].min(axis=1)
+    vals = unit_class(x).values
+    for d in range(1, n + 1):
+        top = x.tops[d]
+        vals = _row_sums(top, vals[top.entries[:, 0]] & z.values[top.entries[:, 1]],
+                         x.n_cells(d))
     out = CocycleClass(x, n, vals)
     if not out.check_cocycle():
         raise InvariantError("cup power of a cocycle failed the cocycle check")
@@ -403,9 +470,9 @@ def is_coboundary(c: CocycleClass) -> bool:
         return True
     if k == 0:
         return False  # unreduced: only the zero 0-cochain is a coboundary
-    # delta of a (k-1)-simplex: one bit per k-simplex that has it as a face
-    cofaces = [0] * x.n_simplices(k - 1)
-    for j, row in enumerate(x.faces[k].tolist()):
+    # delta of a (k-1)-cell: one bit per k-cell that has it as a face
+    cofaces = [0] * x.n_cells(k - 1)
+    for j, row in enumerate(x.faces[k].rows()):
         for f in row:
             cofaces[f] |= 1 << j
     target = sum(1 << j for j in np.flatnonzero(c.values).tolist())
@@ -444,9 +511,10 @@ def sw_height(poset: HomPoset, method: str = "full",
               max_chains: Optional[int] = None) -> HeightResult:
     """Height of the free involution on a Hom poset.
 
-    ``full`` builds the staircase triangulation (``hom_complex``), takes the
-    free quotient, and finds the largest n whose cup power of the twist
-    cocycle is not a coboundary.
+    ``full`` builds the Hom complex on its cells (``hom_complex``, at most
+    ``max_chains`` of them), takes the free quotient by tau-orbits of
+    cells, and finds the largest n whose cup power of the twist cocycle is
+    not a coboundary.
     ``component`` answers exactly within {-inf, 0, >=1}: >= 1 iff some
     connected component is preserved by the involution.
     """
@@ -467,7 +535,7 @@ def sw_height(poset: HomPoset, method: str = "full",
         raise ResourceLimitError(
             f"{exc}; use method='component' for large posets"
         ) from None
-    _, w1 = quotient_with_w1(x, dict(enumerate(poset.involution)))
+    _, w1 = quotient_with_w1(x, poset.involution)
     return HeightResult(w1_height(w1), True, "full")
 
 
@@ -481,7 +549,7 @@ def w1_height(w1: CocycleClass) -> float:
     return n
 
 
-def conn_proxy(x: OrderedDeltaComplex) -> ConnResult:
+def conn_proxy(x: CellComplex) -> ConnResult:
     """Largest n with vanishing reduced GF(2) homology in degrees <= n.
 
     Exact for -inf (empty) and for values <= 0 (path-connectivity); values

@@ -162,36 +162,6 @@ class HomPoset:
         del found[start]
         return sorted(found.values())
 
-    def atoms_above(self, i: int) -> list:
-        """Ascending indices of the atoms ``psi`` above atom ``i`` in the
-        staircase order: ``phi(v) <= psi(v)`` in target order at every
-        vertex, ``psi != phi``, and the union ``phi | psi`` is an element.
-
-        Walks those unions: each vertex in turn keeps its color or adds one
-        larger color, at most once.  A union that is not an element is not
-        walked past, since multihoms are closed under shrinking sets; ``psi``
-        is read off each union found as its largest color per vertex.
-        """
-        index = self.index
-        start = self.elements[i]
-        limit = 1 << len(self.target.vertices)
-        out = []
-
-        def walk(union: tuple, top: tuple, first: int) -> None:
-            for pos in range(first, len(start)):
-                m = start[pos]
-                bit = m << 1
-                while bit < limit:
-                    u = union[:pos] + (m | bit,) + union[pos + 1:]
-                    if u in index:
-                        t = top[:pos] + (bit,) + top[pos + 1:]
-                        out.append(index[t])
-                        walk(u, t, pos + 1)
-                    bit <<= 1
-
-        walk(start, start, 0)
-        return sorted(out)
-
     @cached_property
     def atoms(self) -> tuple:
         """Indices of the elements that are graph maps (all sets singletons)."""
@@ -229,19 +199,7 @@ class HomPoset:
 
         Ground truth is the comparability graph; computed by union-find over
         lower covers (drop one color from one set), which generate the order.
-        On posets with at most 2000 elements the atom-move fast path is
-        cross-validated against this partition.
         """
-        labels = self._component_labels_covers()
-        if 0 < len(self) <= 2000:
-            fast = self._component_labels_atom_moves()
-            if fast != labels:
-                raise InvariantError(
-                    "atom-move components disagree with comparability components"
-                )
-        return labels
-
-    def _component_labels_covers(self) -> tuple:
         parent = list(range(len(self)))
 
         def find(x: int) -> int:
@@ -265,62 +223,8 @@ class HomPoset:
                     rest ^= bit
                     cover = e[:pos] + (m ^ bit,) + e[pos + 1:]
                     union(i, self.index[cover])
-        return self._normalize(tuple(find(i) for i in range(len(self))))
-
-    def _component_labels_atom_moves(self) -> tuple:
-        """Fast path: partition the atoms under the union-is-multihom relation,
-        then give every element the label of its canonical dominated atom."""
-        atoms = self.atoms
-        parent = {a: a for a in atoms}
-
-        def find(x: int) -> int:
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        edge_pairs = [
-            (self.source.index(u), self.source.index(v))
-            for u, v in self.source.sorted_edges()
-        ]
-        adjm = [0] * len(self.target.vertices)
-        for x, y in self.target.edges:
-            adjm[self.target.index(x)] |= 1 << self.target.index(y)
-            adjm[self.target.index(y)] |= 1 << self.target.index(x)
-
-        def union_is_multihom(e1: tuple, e2: tuple) -> bool:
-            for iu, iv in edge_pairs:
-                mu = e1[iu] | e2[iu]
-                mv = e1[iv] | e2[iv]
-                rest = mu
-                while rest:
-                    bit = rest & -rest
-                    rest ^= bit
-                    if mv & ~adjm[bit.bit_length() - 1]:
-                        return False
-            return True
-
-        for ai in range(len(atoms)):
-            for aj in range(ai + 1, len(atoms)):
-                i, j = atoms[ai], atoms[aj]
-                if find(i) != find(j) and union_is_multihom(
-                    self.elements[i], self.elements[j]
-                ):
-                    ri, rj = find(i), find(j)
-                    parent[max(ri, rj)] = min(ri, rj)
-
-        labels = []
-        for e in self.elements:
-            atom = tuple(m & -m for m in e)  # pointwise-min choice function
-            labels.append(find(self.index[atom]))
-        return self._normalize(tuple(labels))
-
-    @staticmethod
-    def _normalize(labels: tuple) -> tuple:
-        first = {}
-        for i, lab in enumerate(labels):
-            first.setdefault(lab, min(i, lab))
-        return tuple(first[lab] for lab in labels)
+        # each union keeps the smaller root, so a root is its set's minimum
+        return tuple(find(i) for i in range(len(self)))
 
     def components(self) -> list:
         """Partition of element indices by connected component, deterministic order."""

@@ -57,23 +57,84 @@ def hom_k2_k4_swap(hom_k2_k4):
 
 
 def dense_boundary_matrix(x, d):
-    """Mod-2 boundary from d-chains to (d-1)-chains as a dense 0/1 matrix.
+    """Mod-2 boundary from d-chains to (d-1)-chains of a simplicial complex
+    as a dense 0/1 matrix.
 
-    The oracle for the face table that complexes keep: it resolves each face
-    by tuple lookup.  Zero-size for d <= 0 and beyond the dimension.
+    The oracle for the face lists that complexes keep: it resolves each face
+    of a simplex by tuple lookup.  Zero-size for d <= 0 and beyond the
+    dimension.
     """
-    rows = x.n_simplices(d - 1) if d >= 1 else 0
-    mat = np.zeros((rows, x.n_simplices(d)), dtype=np.uint8)
+    rows = x.n_cells(d - 1) if d >= 1 else 0
+    mat = np.zeros((rows, x.n_cells(d)), dtype=np.uint8)
     if 1 <= d <= x.dim:
-        for j, s in enumerate(x.simplices[d]):
+        index = {s: i for i, s in enumerate(x.cells[d - 1])}
+        for j, s in enumerate(x.cells[d]):
             for i in range(len(s)):
-                mat[x.simplex_index(d - 1, s[:i] + s[i + 1:]), j] ^= 1
+                mat[index[s[:i] + s[i + 1:]], j] ^= 1
     return mat
 
 
 @pytest.fixture(scope="session")
 def boundary_matrix():
     return dense_boundary_matrix
+
+
+def simplicial_involution(x, vertex_map):
+    """The cell map of a vertex map on a simplicial complex: each simplex
+    goes to the tuple of its vertices' images, a cell or not."""
+    return {s: tuple(vertex_map[v] for v in s) for level in x.cells for s in level}
+
+
+@pytest.fixture(scope="session")
+def on_simplices():
+    return simplicial_involution
+
+
+def atom_move_components(poset):
+    """Oracle for ``HomPoset.component_labels``: partition the atoms under
+    the union-is-multihom relation, then give every element the label of
+    its pointwise-lowest atom; each label is the smallest element index of
+    its part."""
+    atoms = poset.atoms
+    parent = {a: a for a in atoms}
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    edge_pairs = [(poset.source.index(u), poset.source.index(v))
+                  for u, v in poset.source.sorted_edges()]
+    adjm = [0] * len(poset.target.vertices)
+    for x, y in poset.target.edges:
+        adjm[poset.target.index(x)] |= 1 << poset.target.index(y)
+        adjm[poset.target.index(y)] |= 1 << poset.target.index(x)
+
+    def union_is_multihom(e1, e2):
+        for iu, iv in edge_pairs:
+            mu, mv = e1[iu] | e2[iu], e1[iv] | e2[iv]
+            for c in range(len(adjm)):
+                if mu >> c & 1 and mv & ~adjm[c]:
+                    return False
+        return True
+
+    for ai, i in enumerate(atoms):
+        for j in atoms[ai + 1:]:
+            if find(i) != find(j) and union_is_multihom(poset.elements[i],
+                                                        poset.elements[j]):
+                ri, rj = find(i), find(j)
+                parent[max(ri, rj)] = min(ri, rj)
+    labels = [find(poset.index[tuple(m & -m for m in e)]) for e in poset.elements]
+    first = {}
+    for i, lab in enumerate(labels):
+        first.setdefault(lab, i)
+    return tuple(first[lab] for lab in labels)
+
+
+@pytest.fixture(scope="session")
+def atom_components():
+    return atom_move_components
 
 
 @pytest.fixture(scope="session")

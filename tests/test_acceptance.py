@@ -134,7 +134,7 @@ def test_criterion_6_bound_sweep():
             f"vertices, {len(violations)} violations ({elapsed:.2f}s)", ok)
 
 
-def test_criterion_7_component_oracle_equivalence(hom_T_k3):
+def test_criterion_7_component_oracle_equivalence(hom_T_k3, atom_components):
     posets = []
     posets.append(enumerate_hom(complete(2), complete(3)))
     posets.append(enumerate_hom(complete(2), complete(4)))
@@ -148,17 +148,17 @@ def test_criterion_7_component_oracle_equivalence(hom_T_k3):
     for p in posets:
         if not (0 < len(p) <= FULL_METHOD_MAX_ELEMENTS):
             continue
-        if p._component_labels_atom_moves() != p._component_labels_covers():
+        if atom_components(p) != p.component_labels:
             _report("criterion 7: atom-move pi0 equals comparability pi0", False)
         checked += 1
-    # Hom(T,K3) exceeds the threshold; verify its atom route explicitly too
-    extra = hom_T_k3._component_labels_atom_moves() == hom_T_k3.component_labels
+    extra = atom_components(hom_T_k3) == hom_T_k3.component_labels
     _report(f"criterion 7: atom-move pi0 equals comparability pi0 on "
             f"{checked} posets <= {FULL_METHOD_MAX_ELEMENTS} elements "
             "(plus Hom(T,K3))", checked > 10 and extra)
 
 
-def test_criterion_8_property_suite(hom_k2_k3, hom_k2_k4, boundary_matrix):
+def test_criterion_8_property_suite(hom_k2_k3, hom_k2_k4, boundary_matrix,
+                                   on_simplices):
     rng = np.random.default_rng(17)
 
     # boundary squared and coboundary squared vanish
@@ -169,7 +169,7 @@ def test_criterion_8_property_suite(hom_k2_k3, hom_k2_k4, boundary_matrix):
             if ((boundary_matrix(x, d) @ boundary_matrix(x, d + 1)) % 2).any():
                 dd = False
         for _ in range(5):
-            c = CocycleClass(x, 0, rng.integers(0, 2, x.n_simplices(0),
+            c = CocycleClass(x, 0, rng.integers(0, 2, x.n_cells(0),
                                                 dtype=np.uint8))
             if coboundary(coboundary(c)).values.any():
                 dd = False
@@ -185,7 +185,8 @@ def test_criterion_8_property_suite(hom_k2_k3, hom_k2_k4, boundary_matrix):
             continue
         x = order_complex(poset)
         tau = {i: poset.involution[i] for i in range(len(poset))}
-        _, w1 = quotient_with_w1(x, tau)  # raises FreenessError if not free
+        # raises FreenessError if not free
+        _, w1 = quotient_with_w1(x, on_simplices(x, tau))
         baseline = is_coboundary(w1)
         # relabel poset indices; the quotient section changes, the class must not
         perm = list(rng.permutation(len(poset)))
@@ -194,16 +195,16 @@ def test_criterion_8_property_suite(hom_k2_k3, hom_k2_k4, boundary_matrix):
             inv_perm[old] = new
         relabeled = [
             sorted([tuple(inv_perm[v] for v in s) for s in level])
-            for level in x.simplices
+            for level in x.cells
         ]
-        from homlab import OrderedDeltaComplex
+        from homlab import CellComplex
         try:
-            x2 = OrderedDeltaComplex(relabeled)
+            x2 = CellComplex.simplicial(relabeled)
         except Exception:
             section_independent = False
             continue
         tau2 = {inv_perm[i]: inv_perm[tau[i]] for i in tau}
-        _, w1b = quotient_with_w1(x2, tau2)
+        _, w1b = quotient_with_w1(x2, on_simplices(x2, tau2))
         if is_coboundary(w1b) != baseline:
             section_independent = False
 

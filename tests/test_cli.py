@@ -130,10 +130,13 @@ class TestCliBasics:
                          "--export", str(out_path))
         assert code == 0
         data = json.loads(out_path.read_text())
-        # staircase Hom(K2, K3) is a hexagon: 6 atoms, 6 edges, halved
-        assert [len(level) for level in data["quotient"]["simplices"]] == [3, 3]
-        assert [len(table) for table in data["quotient"]["faces"]] == [3]
-        assert data["w1"]["degree"] == 1 and data["w1"]["support"]
+        # Hom(K2, K3) is a hexagon: 6 atoms and 6 edges, halved to a
+        # triangle whose cells are named by their lifts, the lower element
+        # of each orbit.  Only edge 4 = ({0, 2}, {1}) joins a lift (atom 0)
+        # to a non-lift (atom 11 = ({2}, {1})), so w1 is 1 there alone.
+        assert data["quotient"]["cells"] == [[0, 2, 7], [1, 3, 4]]
+        assert data["quotient"]["faces"] == [[[0, 1], [1, 2], [0, 2]]]
+        assert data["w1"] == {"degree": 1, "support": [2]}
 
     def test_height_export_builds_complex_once(self, capsys, tmp_path,
                                                monkeypatch):

@@ -6,8 +6,7 @@ from hypothesis import given, settings, strategies as st
 from homlab import (GraphMap, InputError, InvariantError, PathCertificate,
                     ResourceLimitError, complete, complete_flip, cycle,
                     enumerate_graph_maps, enumerate_hom, find_path,
-                    induced_involution, induced_map, is_multihom, paper_T,
-                    paper_f, paper_gamma1, paper_gamma2, verify_certificate)
+                    induced_involution, induced_map, is_multihom, paper_f, paper_gamma1, paper_gamma2, verify_certificate)
 from homlab.serialize import bundled_fig3_certificate
 
 
@@ -163,21 +162,17 @@ class TestComponents:
                     assert (poset.component_labels[i] == poset.component_labels[j]) \
                         == (oracle[i] == oracle[j])
 
-    def test_atom_route_matches_cover_route(self, C5, K3):
+    def test_atom_route_matches_cover_route(self, C5, K3, atom_components):
         poset = enumerate_hom(C5, K3)
-        assert poset._component_labels_atom_moves() == \
-            poset._component_labels_covers()
+        assert poset.component_labels == atom_components(poset)
 
     def test_T_k3_shape(self, hom_T_k3):
         assert len(hom_T_k3) == 2160
         assert len(hom_T_k3.atoms) == 600
         assert len(hom_T_k3.components()) == 4
 
-    def test_T_k3_atom_route_agrees(self, hom_T_k3):
-        # 2160 elements is above the automatic cross-validation threshold,
-        # so run the atom route explicitly here
-        assert hom_T_k3._component_labels_atom_moves() == \
-            hom_T_k3.component_labels
+    def test_T_k3_atom_route_agrees(self, hom_T_k3, atom_components):
+        assert hom_T_k3.component_labels == atom_components(hom_T_k3)
 
     def test_same_component_accepts_graph_maps(self, hom_T_k3):
         f = paper_f()
@@ -202,21 +197,6 @@ class TestAbove:
         for i in range(len(p)):
             assert p.above(i) == [j for j in range(len(p))
                                   if j != i and p.leq(i, j)]
-
-
-class TestAtomsAbove:
-    @pytest.mark.parametrize("source, m", [
-        (complete(2), 4), (complete(3), 4), (cycle(5), 3), (paper_T(), 3),
-    ])
-    def test_matches_definition(self, source, m):
-        # psi above phi: pointwise larger, different, and phi | psi an element
-        p = enumerate_hom(source, complete(m))
-        for i in p.atoms:
-            phi = p.elements[i]
-            assert p.atoms_above(i) == [
-                j for j in p.atoms if j != i
-                and all(a <= b for a, b in zip(phi, p.elements[j]))
-                and tuple(a | b for a, b in zip(phi, p.elements[j])) in p.index]
 
 
 class TestInducedInvolution:

@@ -1,24 +1,45 @@
+import functools
 import itertools
 import math
+import time
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from homlab import (FreenessError, HomPoset, InputError,
-                    OrderedDeltaComplex, betti_mod2, complete, complete_flip,
+from homlab import (CellComplex, FreenessError, HomPoset, InputError,
+                    InvariantError, betti_mod2, complete, complete_flip,
                     conn_proxy, cup_power, cycle, cycle_reflection,
                     enumerate_hom, hom_complex, induced_involution,
-                    is_coboundary, order_complex, order_complex_from_relation,
-                    paper_T, quotient_with_w1, sw_height, unit_class)
-from homlab.complexes import CocycleClass, _front_edges, coboundary, w1_height
+                    is_coboundary, order_complex, paper_T, quotient_with_w1,
+                    sw_height, unit_class)
+from homlab.complexes import CocycleClass, Table, coboundary, w1_height
 from homlab.errors import ResourceLimitError
+
+
+class RelationPoset:
+    """The poset on 0..n-1 under ``leq``; each up-set is a scan of ``leq``
+    over all n elements."""
+
+    def __init__(self, n, leq):
+        self.n, self.leq = n, leq
+
+    def __len__(self):
+        return self.n
+
+    def above(self, i):
+        return [j for j in range(self.n) if j != i and self.leq(i, j)]
+
+
+def order_complex_from_relation(n, leq, max_chains=None):
+    """Oracle: the order complex of the poset on 0..n-1 under ``leq``."""
+    return order_complex(RelationPoset(n, leq), max_chains)
 
 
 def hexagon():
     verts = [(i,) for i in range(6)]
     edges = [(i, (i + 1) % 6) for i in range(6)]
-    return OrderedDeltaComplex([verts, edges])
+    return CellComplex.simplicial([verts, edges])
 
 
 def octahedron_subdivision():
@@ -43,21 +64,31 @@ def octahedron_subdivision():
     return x, tau
 
 
+def dense_face_matrix(x, d):
+    """The mod-2 boundary from d-cells as a dense matrix, read off the face
+    lists."""
+    mat = np.zeros((x.n_cells(d - 1), x.n_cells(d)), dtype=np.int64)
+    for j, row in enumerate(x.faces[d].rows()):
+        for f in row:
+            mat[f, j] ^= 1
+    return mat
+
+
 class TestOrderedDeltaComplex:
     def test_missing_face_rejected(self):
         with pytest.raises(InputError):
-            OrderedDeltaComplex([[(0,), (1,)], [(0, 2)]])
+            CellComplex.simplicial([[(0,), (1,)], [(0, 2)]])
 
     def test_repeated_vertex_rejected(self):
         with pytest.raises(InputError):
-            OrderedDeltaComplex([[(0,)], [(0, 0)]])
+            CellComplex.simplicial([[(0,)], [(0, 0)]])
 
     def test_duplicate_simplex_rejected(self):
         with pytest.raises(InputError):
-            OrderedDeltaComplex([[(0,), (0,)]])
+            CellComplex.simplicial([[(0,), (0,)]])
 
     def test_empty_levels_trimmed(self):
-        x = OrderedDeltaComplex([[(0,)], []])
+        x = CellComplex.simplicial([[(0,)], []])
         assert x.dim == 0
 
     def test_boundary_squared_is_zero(self, hom_k2_k4, boundary_matrix):
@@ -71,41 +102,59 @@ class TestOrderedDeltaComplex:
         rng = np.random.default_rng(3)
         for d in range(1, x.dim + 1):
             dense = boundary_matrix(x, d)
-            assert x.faces[d].shape == (x.n_simplices(d), d + 1)
-            for j, row in enumerate(x.faces[d]):
+            for j, row in enumerate(x.faces[d].rows()):
                 assert sorted(row) == list(np.nonzero(dense[:, j])[0])
-            c = CocycleClass(x, d - 1, rng.integers(0, 2, x.n_simplices(d - 1),
+            c = CocycleClass(x, d - 1, rng.integers(0, 2, x.n_cells(d - 1),
                                                      dtype=np.uint8))
             assert np.array_equal(coboundary(c).values, dense.T @ c.values % 2)
 
-    def test_given_faces_match_derived(self, hom_k2_k4):
-        x = order_complex(hom_k2_k4)
-        y = OrderedDeltaComplex(x.simplices, faces=x.faces)
-        assert all(np.array_equal(a, b) for a, b in zip(x.faces, y.faces))
-
-    @pytest.mark.parametrize("tables", [
-        [None, [[1, 0], [2, 0], [2, 1]], [[2, 1]]],         # wrong shape
-        [None, [[1, 0], [2, 0], [2, 3]], [[2, 1, 0]]],      # no vertex 3
-        [None, [[1, 0], [2, 0], [2, 1]], [[1, 2, 0]]],      # d_0 d_2 != d_1 d_0
-    ])
-    def test_given_faces_checked(self, tables):
-        names = [[(0,), (1,), (2,)], [(0, 1), (0, 2), (1, 2)], [(0, 1, 2)]]
-        OrderedDeltaComplex(names, faces=[None, [[1, 0], [2, 0], [2, 1]],
-                                          [[2, 1, 0]]])
-        with pytest.raises(InputError):
-            OrderedDeltaComplex(names, faces=tables)
+    def test_given_faces_match_derived(self, hom_k2_k4_swap):
+        # the quotient is given its face lists; each must list the orbits of
+        # the faces of its lift, found here by the order relation
+        p = hom_k2_k4_swap
+        x = hom_complex(p)
+        q, _ = quotient_with_w1(x, p.involution)
+        for d in range(1, q.dim + 1):
+            for i, row in zip(q.cells[d], q.faces[d].rows()):
+                faces = [j for j in x.cells[d - 1] if p.leq(j, i)]
+                assert sorted(q.cells[d - 1][f] for f in row) == sorted(
+                    min(j, p.involution[j]) for j in faces)
 
     def test_front_edges_match_tuple_lookup(self, K2):
+        # on simplices: z on the consecutive edges, found by tuple lookup
         x = order_complex(enumerate_hom(K2, complete(5)))
+        rng = np.random.default_rng(11)
+        z = coboundary(CocycleClass(x, 0, rng.integers(0, 2, x.n_cells(0),
+                                                       dtype=np.uint8)))
+        edge = {s: j for j, s in enumerate(x.cells[1])}
         for n in range(1, x.dim + 1):
-            assert _front_edges(x, n).tolist() == [
-                [x.simplex_index(1, s[i - 1:i + 1]) for i in range(1, n + 1)]
-                for s in x.simplices[n]]
+            assert cup_power(z, n).values.tolist() == [
+                int(all(z.values[edge[s[i - 1:i + 1]]] for i in range(1, n + 1)))
+                for s in x.cells[n]]
+
+    @pytest.mark.parametrize("tables", [
+        ([0, 1, 2], [0, 1], [0, 1], [[0, 0]]),  # two face rows for one edge
+        ([0, 2], [0, 2], [0, 1], [[0, 0]]),     # no vertex 2
+        ([0, 2], [0, -1], [0, 1], [[0, 0]]),    # negative index
+        ([0, 3], [0, 1], [0, 1], [[0, 0]]),     # rows past the entries
+        ([0, 2], [0, 1], [0, 1], [[0, 1]]),     # no edge 1
+        ([0, 2], [0, 1], [0, 1], [[0]]),        # a top pair of one entry
+    ])
+    def test_given_faces_checked(self, tables):
+        def edge(face_starts, face, top_starts, top):
+            def arr(a):
+                return np.array(a, dtype=np.intp)
+            return CellComplex([["a", "b"], ["e"]],
+                               [Table.empty(2), Table(arr(face_starts), arr(face))],
+                               [Table.empty(2, (2,)), Table(arr(top_starts), arr(top))])
+        assert betti_mod2(edge([0, 2], [0, 1], [0, 1], [[0, 0]])) == (1, 0)
+        with pytest.raises(InputError):
+            edge(*tables)
 
 
 class TestBetti:
     def test_point(self):
-        assert betti_mod2(OrderedDeltaComplex([[(0,)]])) == (1,)
+        assert betti_mod2(CellComplex.simplicial([[(0,)]])) == (1,)
 
     def test_circle(self):
         assert betti_mod2(hexagon()) == (1, 1)
@@ -115,12 +164,12 @@ class TestBetti:
         assert betti_mod2(x) == (1, 0, 1)
 
     def test_two_points_reduced(self):
-        x = OrderedDeltaComplex([[(0,), (1,)]])
+        x = CellComplex.simplicial([[(0,), (1,)]])
         assert betti_mod2(x) == (2,)
         assert betti_mod2(x, reduced=True) == (1,)
 
     def test_empty(self):
-        assert betti_mod2(OrderedDeltaComplex([])) == ()
+        assert betti_mod2(CellComplex.simplicial([])) == ()
 
     def test_hom_k2_k3_is_a_circle(self, hom_k2_k3):
         assert betti_mod2(order_complex(hom_k2_k3)) == (1, 1)
@@ -132,16 +181,25 @@ class TestBetti:
         # the order complex of Hom(K2, K3) and a bare hexagon are both circles
         assert betti_mod2(order_complex(hom_k2_k3)) == betti_mod2(hexagon())
 
+    @pytest.mark.parametrize("source, m, betti", [
+        (complete(2), 7, (1, 0, 0, 0, 0, 1)),
+        (complete(3), 5, (1, 0, 29)),
+        (cycle(5), 4, (1, 1, 1, 1)),
+        (paper_T(), 3, (4, 4, 0)),
+    ])
+    def test_hom_cells(self, source, m, betti):
+        assert betti_mod2(hom_complex(enumerate_hom(source, complete(m)))) == betti
+
 
 class TestOrderComplex:
     def test_total_order_gives_full_simplex(self):
         x = order_complex_from_relation(4, lambda i, j: i <= j)
         # chains of a 4-chain: all nonempty subsets
-        assert [x.n_simplices(d) for d in range(4)] == [4, 6, 4, 1]
+        assert [x.n_cells(d) for d in range(4)] == [4, 6, 4, 1]
 
     def test_antichain_gives_points(self):
         x = order_complex_from_relation(5, lambda i, j: i == j)
-        assert x.dim == 0 and x.n_simplices(0) == 5
+        assert x.dim == 0 and x.n_cells(0) == 5
 
     def test_chain_cap(self):
         with pytest.raises(ResourceLimitError):
@@ -160,15 +218,15 @@ class TestOrderComplex:
 
     def test_vertices_are_poset_indices(self, hom_k2_k3):
         x = order_complex(hom_k2_k3)
-        assert [s[0] for s in x.simplices[0]] == list(range(12))
-        assert x.n_simplices(0) == 12 and x.n_simplices(1) == 12
+        assert [s[0] for s in x.cells[0]] == list(range(12))
+        assert x.n_cells(0) == 12 and x.n_cells(1) == 12
 
     def test_hom_poset_never_calls_leq(self, hom_T_k3, monkeypatch):
         def refuse(self, i, j):
             raise AssertionError("order_complex scanned leq")
         monkeypatch.setattr(HomPoset, "leq", refuse)
         x = order_complex(hom_T_k3)
-        assert [x.n_simplices(d) for d in range(3)] == [2160, 6000, 3840]
+        assert [x.n_cells(d) for d in range(3)] == [2160, 6000, 3840]
 
     def test_hom_chain_cap_leaves_upsets_unwalked(self, K2, monkeypatch):
         poset = enumerate_hom(K2, complete(7))
@@ -197,45 +255,131 @@ class TestOrderComplex:
         built = []
         for route in routes:
             try:
-                built.append(route().simplices)
+                built.append(route().cells)
             except ResourceLimitError:
                 built.append(None)
         assert built[0] == built[1]
 
 
-def barycentric_height(poset) -> float:
-    """Oracle: the height on the order complex of the whole poset."""
+def barycentric_height(poset, on_simplices) -> float:
+    """Oracle: the height on the order complex of the whole poset, where
+    cup powers are front-face products of simplices."""
     if len(poset) == 0:
         return -math.inf
-    _, w1 = quotient_with_w1(order_complex(poset), dict(enumerate(poset.involution)))
+    x = order_complex(poset)
+    _, w1 = quotient_with_w1(x, on_simplices(x, poset.involution))
     return w1_height(w1)
+
+
+def section_changing_paths(poset, i) -> int:
+    """Oracle for w1^n on the Hom cell ``i``: the monotone lattice paths
+    through its atoms, from the lowest to the highest, every step of which
+    changes section membership, counted mod 2.  An atom is in the section
+    when its index is below its image's."""
+    colors = [[b for b in range(m.bit_length()) if m >> b & 1]
+              for m in poset.elements[i]]
+
+    def in_section(at):
+        a = poset.index[tuple(1 << colors[v][k] for v, k in enumerate(at))]
+        return a < poset.involution[a]
+
+    @functools.lru_cache(maxsize=None)
+    def paths(at):
+        if not any(at):
+            return 1
+        steps = (at[:v] + (k - 1,) + at[v + 1:] for v, k in enumerate(at) if k)
+        return sum(paths(b) for b in steps if in_section(b) != in_section(at))
+    return paths(tuple(len(c) - 1 for c in colors)) % 2
 
 
 class TestHomComplex:
     @pytest.mark.parametrize("source, m, counts", [
-        (complete(2), 6, [30, 210, 560, 630, 252]),
-        (cycle(5), 4, [240, 1680, 2880, 1440]),
-        (paper_T(), 3, [600, 1560, 960]),
+        (complete(2), 6, [30, 120, 210, 180, 62]),
+        (cycle(5), 4, [240, 780, 840, 300]),
+        (paper_T(), 3, [600, 1080, 480]),
     ])
     def test_simplex_counts(self, source, m, counts):
+        # cells per dimension, each a product of simplices
         x = hom_complex(enumerate_hom(source, complete(m)))
-        assert [x.n_simplices(d) for d in range(x.dim + 1)] == counts
+        assert [x.n_cells(d) for d in range(x.dim + 1)] == counts
+
+    @pytest.mark.parametrize("z, m, counts", [
+        (complete_flip(2), 6, [15, 60, 105, 90, 31]),
+        (cycle_reflection(5), 4, [120, 390, 420, 150]),
+    ])
+    def test_orbit_cell_counts(self, z, m, counts):
+        poset = induced_involution(z, enumerate_hom(z.graph, complete(m)))
+        q, _ = quotient_with_w1(hom_complex(poset), poset.involution)
+        assert [q.n_cells(d) for d in range(q.dim + 1)] == counts
 
     def test_vertices_are_atoms(self, hom_k2_k3):
         x = hom_complex(hom_k2_k3)
-        assert [s[0] for s in x.simplices[0]] == list(hom_k2_k3.atoms)
+        assert list(x.cells[0]) == list(hom_k2_k3.atoms)
         assert betti_mod2(x) == (1, 1)
 
+    @pytest.mark.parametrize("source, m", [
+        (complete(2), 4), (complete(3), 4), (cycle(5), 3), (paper_T(), 3),
+    ])
+    def test_hom_cells_match_definition(self, source, m):
+        # a cell's faces are the elements below it of one dimension less,
+        # and its boundary squares to zero
+        p = enumerate_hom(source, complete(m))
+        x = hom_complex(p)
+        assert sorted(i for level in x.cells for i in level) == list(range(len(p)))
+        for d in range(x.dim + 1):
+            for i in x.cells[d]:
+                assert sum(map(len, p.element_as_multihom(i).sets)) - \
+                    len(source.vertices) == d
+        for d in range(1, x.dim + 1):
+            for i, row in zip(x.cells[d], x.faces[d].rows()):
+                assert sorted(x.cells[d - 1][f] for f in row) == [
+                    j for j in x.cells[d - 1] if p.leq(j, i)]
+            if d >= 2:
+                prod = dense_face_matrix(x, d - 1) @ dense_face_matrix(x, d)
+                assert not (prod % 2).any()
+
+    def test_hom_tops_match_definition(self, hom_k2_k4):
+        # one top pair per set of size >= 2: drop its largest color, and the
+        # edge from the largest colors of that face to those of the cell
+        p, x = hom_k2_k4, hom_complex(hom_k2_k4)
+
+        def peak(e):
+            return tuple(1 << (m.bit_length() - 1) for m in e)
+
+        for d in range(1, x.dim + 1):
+            for i, row in zip(x.cells[d], x.tops[d].rows()):
+                e, want = p.elements[i], []
+                for v, m in enumerate(e):
+                    if m & (m - 1):
+                        top = 1 << (m.bit_length() - 1)
+                        face = e[:v] + (m ^ top,) + e[v + 1:]
+                        edge = tuple(a | b for a, b in zip(peak(face), peak(e)))
+                        want.append((p.index[face], p.index[edge]))
+                assert sorted((x.cells[d - 1][f], x.cells[1][g]) for f, g in row) \
+                    == sorted(want)
+
     def test_chain_cap(self, K2):
+        # the cap counts cells; sw_height passes its max_chains to it
         poset = enumerate_hom(K2, complete(7))
-        assert sum(map(len, hom_complex(poset, max_chains=8988).simplices)) == 8988
+        assert sum(map(len, hom_complex(poset, max_cells=1932).cells)) == 1932
         with pytest.raises(ResourceLimitError):
-            hom_complex(poset, max_chains=8987)
+            hom_complex(poset, max_cells=1931)
 
     def test_k2_k7_height_inside_chain_budget(self, K2):
         poset = induced_involution(complete_flip(2), enumerate_hom(K2, complete(7)))
         res = sw_height(poset, max_chains=100_000)
         assert (res.value, res.exact) == (5, True)
+        with pytest.raises(ResourceLimitError):
+            sw_height(poset, max_chains=1931)
+
+    def test_c5_k5_full_height(self):
+        # 45,540 cells; the barycentric and staircase routes cannot afford it
+        t0 = time.monotonic()
+        z = cycle_reflection(5)
+        poset = induced_involution(z, enumerate_hom(z.graph, complete(5)))
+        res = sw_height(poset)
+        assert len(poset) == 45_540 and (res.value, res.exact) == (2, True)
+        assert time.monotonic() - t0 < 20
 
     def test_sw_height_never_builds_order_complex(self, hom_k2_k4_swap, monkeypatch):
         from homlab import complexes
@@ -245,9 +389,17 @@ class TestHomComplex:
         monkeypatch.setattr(complexes, "order_complex", refuse)
         assert sw_height(hom_k2_k4_swap).value == 2
 
+    @pytest.mark.parametrize("z, m", [(complete_flip(2), 5), (cycle_reflection(5), 4)])
+    def test_cup_power_counts_section_changing_paths(self, z, m):
+        poset = induced_involution(z, enumerate_hom(z.graph, complete(m)))
+        q, w1 = quotient_with_w1(hom_complex(poset), poset.involution)
+        for n in range(1, q.dim + 1):
+            assert cup_power(w1, n).values.tolist() == [
+                section_changing_paths(poset, i) for i in q.cells[n]]
+
     @settings(max_examples=80, deadline=None, derandomize=True, database=None)
     @given(st.data())
-    def test_matches_order_complex(self, small_graphs, data):
+    def test_matches_order_complex(self, small_graphs, on_simplices, data):
         z = data.draw(st.sampled_from(
             [complete_flip(2), complete_flip(3), cycle_reflection(5)]))
         target = data.draw(small_graphs(1, loops=False))
@@ -256,85 +408,111 @@ class TestHomComplex:
                 z, enumerate_hom(z.graph, target, max_elements=1000))
         except ResourceLimitError:
             assume(False)
-        assert sw_height(poset).value == barycentric_height(poset)
+        assert sw_height(poset).value == barycentric_height(poset, on_simplices)
         assert betti_mod2(hom_complex(poset)) == betti_mod2(order_complex(poset))
 
 
 class TestQuotient:
-    def test_hexagon_antipodal_gives_triangle(self):
-        q, w1 = quotient_with_w1(hexagon(), {i: (i + 3) % 6 for i in range(6)})
-        assert q.n_simplices(0) == 3 and q.n_simplices(1) == 3
+    def test_hexagon_antipodal_gives_triangle(self, on_simplices):
+        x = hexagon()
+        q, w1 = quotient_with_w1(x, on_simplices(x, {i: (i + 3) % 6 for i in range(6)}))
+        assert q.n_cells(0) == 3 and q.n_cells(1) == 3
         assert betti_mod2(q) == (1, 1)
         assert w1.check_cocycle()
         assert not is_coboundary(w1)  # the double cover is nontrivial
 
-    def test_two_hexagons_swapped_gives_trivial_cover(self):
+    def test_two_hexagons_swapped_gives_trivial_cover(self, on_simplices):
         verts = [(i,) for i in range(12)]
         edges = [(i, (i + 1) % 6) for i in range(6)] + \
                 [(6 + i, 6 + (i + 1) % 6) for i in range(6)]
-        x = OrderedDeltaComplex([verts, edges])
-        q, w1 = quotient_with_w1(x, {i: (i + 6) % 12 for i in range(12)})
+        x = CellComplex.simplicial([verts, edges])
+        q, w1 = quotient_with_w1(x, on_simplices(x, {i: (i + 6) % 12 for i in range(12)}))
         assert betti_mod2(q) == (1, 1)
         assert is_coboundary(w1)  # disconnected double cover, trivial twist
 
-    def test_octahedron_gives_projective_plane(self):
+    def test_octahedron_gives_projective_plane(self, on_simplices):
         x, antipode = octahedron_subdivision()
-        q, w1 = quotient_with_w1(x, antipode)
+        q, w1 = quotient_with_w1(x, on_simplices(x, antipode))
         assert betti_mod2(q) == (1, 1, 1)
         assert not is_coboundary(w1)
         assert not is_coboundary(cup_power(w1, 2))
         assert cup_power(w1, 3).values.size == 0
 
-    def test_fixed_vertex_raises_freeness(self):
+    def test_fixed_vertex_raises_freeness(self, on_simplices):
+        x = hexagon()
         with pytest.raises(FreenessError):
-            quotient_with_w1(hexagon(), {0: 0, 3: 3, 1: 4, 4: 1, 2: 5, 5: 2})
+            quotient_with_w1(x, on_simplices(x, {0: 0, 3: 3, 1: 4, 4: 1, 2: 5, 5: 2}))
 
-    def test_non_simplicial_raises(self):
+    def test_non_simplicial_raises(self, on_simplices):
         # vertex permutation of order two that does not send edges to edges
+        x = hexagon()
         with pytest.raises(InputError):
-            quotient_with_w1(hexagon(), {0: 2, 2: 0, 1: 4, 4: 1, 3: 5, 5: 3})
+            quotient_with_w1(x, on_simplices(x, {0: 2, 2: 0, 1: 4, 4: 1, 3: 5, 5: 3}))
 
-    def test_not_order_two_raises(self):
+    def test_not_order_two_raises(self, on_simplices):
+        x = hexagon()
         with pytest.raises(InputError):
-            quotient_with_w1(hexagon(), {i: (i + 2) % 6 for i in range(6)})
+            quotient_with_w1(x, on_simplices(x, {i: (i + 2) % 6 for i in range(6)}))
 
-    def test_halving(self, hom_k2_k4, hom_k2_k4_swap):
-        x = order_complex(hom_k2_k4)
-        tau = {i: hom_k2_k4_swap.involution[i] for i in range(len(hom_k2_k4))}
-        q, _ = quotient_with_w1(x, tau)
-        for d in range(x.dim + 1):
-            assert 2 * q.n_simplices(d) == x.n_simplices(d)
+    def test_not_commuting_with_faces_raises(self, on_simplices):
+        # vertices swap within {0, 1}, {2, 3}, {4, 5} while each edge goes to
+        # its opposite: every cell goes to a cell, but not face to face
+        x = hexagon()
+        tau = on_simplices(x, {i: (i + 3) % 6 for i in range(6)})
+        tau.update({(i,): (i ^ 1,) for i in range(6)})
+        with pytest.raises(InputError):
+            quotient_with_w1(x, tau)
 
-    def test_staircase_orbits_sharing_a_vertex_tuple(self, hom_k2_k4_swap):
-        x = hom_complex(hom_k2_k4_swap)
-        tau = dict(enumerate(hom_k2_k4_swap.involution))
-        q, w1 = quotient_with_w1(x, tau)
-        section = {v: min(v, tau[v]) for (v,) in x.simplices[0]}
-        # naming an orbit by the section's vertices would merge two orbits
-        assert any(len({tuple(section[v] for v in s) for s in level}) < len(level)
-                   for level in q.simplices)
-        assert [q.n_simplices(d) for d in range(3)] == [6, 15, 10]
-        for d in range(1, q.dim + 1):
-            for k, lift in enumerate(q.simplices[d]):
-                assert lift in x.simplices[d]
-                for i in range(d + 1):
-                    face = lift[:i] + lift[i + 1:]
-                    assert q.simplices[d - 1][q.faces[d][k, i]] in (
-                        face, tuple(tau[v] for v in face))
-        for (a, b), value in zip(q.simplices[1], w1.values):
-            assert value == ((section[a] == a) != (section[b] == b))
+    def test_boundary_of_boundary_checked(self):
+        # a tau-invariant cover whose 2-cells bound single edges, so their
+        # boundaries do not square to zero
+        def table(rows):
+            rows = np.array(rows, dtype=np.intp)
+            return Table(np.arange(3) * rows.shape[1], rows.reshape((-1,) + rows.shape[2:]))
+        x = CellComplex([["a0", "a1", "b0", "b1"], ["e", "f"], ["t", "u"]],
+                        [Table.empty(4), table([[0, 1], [2, 3]]), table([[0], [1]])],
+                        [Table.empty(4, (2,)), table([[[0, 0]], [[2, 1]]]),
+                         table([[[0, 0]], [[1, 1]]])])
+        tau = {"a0": "b0", "b0": "a0", "a1": "b1", "b1": "a1",
+               "e": "f", "f": "e", "t": "u", "u": "t"}
+        with pytest.raises(InvariantError):
+            quotient_with_w1(x, tau)
+
+    def test_halving(self, hom_k2_k4, hom_k2_k4_swap, on_simplices):
+        for x, tau in [
+            (order_complex(hom_k2_k4), None),
+            (hom_complex(hom_k2_k4_swap), hom_k2_k4_swap.involution),
+        ]:
+            if tau is None:
+                tau = on_simplices(x, hom_k2_k4_swap.involution)
+            q, _ = quotient_with_w1(x, tau)
+            for d in range(x.dim + 1):
+                assert 2 * q.n_cells(d) == x.n_cells(d)
+
+    def test_hom_orbit_cells(self, hom_k2_k4_swap):
+        p = hom_k2_k4_swap
+        x = hom_complex(p)
+        q, w1 = quotient_with_w1(x, p.involution)
+        assert [q.n_cells(d) for d in range(3)] == [6, 12, 7]
+        for d in range(q.dim + 1):
+            # each orbit is named by its lift, the lower of the pair
+            assert sorted(q.cells[d]) == sorted(i for i in x.cells[d]
+                                                if i < p.involution[i])
+        for i, value in zip(q.cells[1], w1.values):
+            a, b = [j for j in x.cells[0] if p.leq(j, i)]
+            assert value == ((a < p.involution[a]) != (b < p.involution[b]))
         assert betti_mod2(q) == (1, 1, 1)  # the projective plane
         assert not is_coboundary(cup_power(w1, 2))
 
-    def test_w1_class_independent_of_labeling(self):
+    def test_w1_class_independent_of_labeling(self, on_simplices):
         # relabel the hexagon so the canonical orbit sections differ; the
         # coboundary status of w1 is a property of the cover, not the section
         for shift in range(6):
             verts = [((i + shift) % 6,) for i in range(6)]
             verts.sort()
             edges = sorted(((i, (i + 1) % 6) for i in range(6)))
-            x = OrderedDeltaComplex([verts, edges])
-            q, w1 = quotient_with_w1(x, {i: (i + 3) % 6 for i in range(6)})
+            x = CellComplex.simplicial([verts, edges])
+            q, w1 = quotient_with_w1(x, on_simplices(x, {i: (i + 3) % 6 for i in range(6)}))
             assert not is_coboundary(w1)
 
 
@@ -348,19 +526,19 @@ class TestCupAndCoboundary:
         rng = np.random.default_rng(5)
         for _ in range(10):
             c = CocycleClass(
-                x, 0, rng.integers(0, 2, x.n_simplices(0), dtype=np.uint8))
+                x, 0, rng.integers(0, 2, x.n_cells(0), dtype=np.uint8))
             assert not coboundary(coboundary(c)).values.any()
 
     def test_coboundaries_are_coboundaries(self, hom_k2_k3):
         x = order_complex(hom_k2_k3)
         rng = np.random.default_rng(9)
         c = CocycleClass(
-            x, 0, rng.integers(0, 2, x.n_simplices(0), dtype=np.uint8))
+            x, 0, rng.integers(0, 2, x.n_cells(0), dtype=np.uint8))
         assert is_coboundary(coboundary(c))
 
     def test_cup_power_zero_is_unit(self, hom_k2_k3):
         x = order_complex(hom_k2_k3)
-        z = CocycleClass(x, 1, np.zeros(x.n_simplices(1), dtype=np.uint8))
+        z = CocycleClass(x, 1, np.zeros(x.n_cells(1), dtype=np.uint8))
         assert np.array_equal(cup_power(z, 0).values, unit_class(x).values)
 
     def test_cup_power_needs_degree_one(self, hom_k2_k3):
@@ -375,13 +553,13 @@ class TestCupAndCoboundary:
             request.getfixturevalue(name))
         delta = boundary_matrix(x, 1).T  # 0-cochains -> 1-cochains
         images = {tuple(delta @ np.array(v) % 2)
-                  for v in itertools.product((0, 1), repeat=x.n_simplices(0))}
-        for c in itertools.product((0, 1), repeat=x.n_simplices(1)):
+                  for v in itertools.product((0, 1), repeat=x.n_cells(0))}
+        for c in itertools.product((0, 1), repeat=x.n_cells(1)):
             cls = CocycleClass(x, 1, np.array(c, dtype=np.uint8))
             assert is_coboundary(cls) == (c in images)
 
     def test_nonzero_degree_zero_class_not_coboundary(self):
-        x = OrderedDeltaComplex([[(0,)]])
+        x = CellComplex.simplicial([[(0,)]])
         assert not is_coboundary(unit_class(x))
 
 
@@ -424,11 +602,11 @@ class TestHeightAndConn:
         assert (res.value, res.exact) == (0, True)
 
     def test_conn_disconnected(self):
-        res = conn_proxy(OrderedDeltaComplex([[(0,), (1,)]]))
+        res = conn_proxy(CellComplex.simplicial([[(0,), (1,)]]))
         assert (res.value, res.exact) == (-1, True)
 
     def test_conn_empty(self):
-        res = conn_proxy(OrderedDeltaComplex([]))
+        res = conn_proxy(CellComplex.simplicial([]))
         assert (res.value, res.exact) == (-math.inf, True)
 
     def test_conn_sphere_heuristic(self, hom_k2_k4):
