@@ -19,7 +19,7 @@ from typing import NamedTuple, Optional, Sequence
 import numpy as np
 
 from .errors import FreenessError, InputError, InvariantError, ResourceLimitError
-from .gf2 import rank_sparse, reduce, span
+from .gf2 import pack, reduce, span
 from .hom import HomPoset, default_max_elements
 
 __all__ = [
@@ -167,22 +167,36 @@ class CellComplex:
     n_simplices = n_cells
 
 
-def _boundary_rank(x: CellComplex, d: int) -> int:
-    """GF(2) rank of the boundary from d-chains, one bit row per d-cell."""
-    if d <= 0 or d > x.dim:
-        return 0
-    return rank_sparse(x.faces[d].rows(), x.n_cells(d - 1))
-
-
 def betti_mod2(x: CellComplex, reduced: bool = False) -> tuple:
-    """GF(2) Betti numbers b_0..b_dim (reduced variant subtracts one from b_0)."""
+    """GF(2) Betti numbers b_0..b_dim (reduced variant subtracts one from b_0).
+
+    The boundary ranks are taken from the top dimension down, one bit row
+    per cell, with clearing (Chen & Kerber's twist): the pivot ``p`` of a
+    basis row of the d-boundaries is the highest cell of a (d-1)-boundary,
+    which is a cycle, so the boundary of ``p`` lies in the span of the
+    boundaries of lower cells and its row is skipped one dimension down.
+    """
     if x.is_empty():
         return ()
-    ranks = [_boundary_rank(x, d) for d in range(x.dim + 2)]
+    ranks = [0] * (x.dim + 2)
+    cleared = bytearray(x.n_cells(x.dim))
+    for d in range(x.dim, 0, -1):
+        ranks[d], cleared = _cleared_rank(x.faces[d].rows(), cleared,
+                                          x.n_cells(d - 1))
     out = [x.n_cells(d) - ranks[d] - ranks[d + 1] for d in range(x.dim + 1)]
     if reduced:
         out[0] -= 1
     return tuple(out)
+
+
+def _cleared_rank(rows: list, cleared: bytearray, below: int) -> tuple:
+    """GF(2) rank of the bit rows not marked in ``cleared``, and the marks
+    of its pivots among the ``below`` columns."""
+    basis = span(pack(row) for row, skip in zip(rows, cleared) if not skip)
+    pivots = bytearray(below)
+    for p in basis:
+        pivots[p] = 1
+    return len(basis), pivots
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["reduce", "span", "gf2_rank", "gf2_solvable", "rank_sparse"]
+__all__ = ["reduce", "span", "pack", "gf2_rank", "gf2_solvable", "rank_sparse"]
 
 
 def reduce(row: int, basis: dict) -> int:
@@ -56,7 +56,7 @@ def gf2_solvable(a, b) -> bool:
     return reduce(_bit_rows(b)[0], span(_bit_rows(a.T))) == 0
 
 
-def _pack(row) -> int:
+def pack(row) -> int:
     """Bit row of the columns in ``row``; a repeated column is set once."""
     bits = 0
     for j in row:
@@ -66,4 +66,4 @@ def _pack(row) -> int:
 
 def rank_sparse(rows, ncols: int) -> int:
     """GF(2) rank of a matrix given as an iterable of column-index sets."""
-    return len(span(_pack(row) for row in rows))
+    return len(span(pack(row) for row in rows))

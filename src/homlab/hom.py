@@ -9,10 +9,12 @@ sorted tuple of target indices).
 
 from __future__ import annotations
 
+import copy
 import os
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import compress, count, repeat
 from operator import itemgetter
 from typing import Callable, Optional, Sequence
 
@@ -107,11 +109,35 @@ def _mask_key(mask: int) -> tuple:
     return tuple(out)
 
 
+class _PerMask(dict):
+    """``fn`` of a color mask, computed once per mask; ``__getitem__``
+    serves it to ``map`` without a Python call on a hit."""
+
+    def __init__(self, fn: Callable[[int], object]):
+        super().__init__()
+        self.fn = fn
+
+    def __missing__(self, mask: int):
+        self[mask] = value = self.fn(mask)
+        return value
+
+
+def _adjacency_masks(target: Graph) -> list:
+    """Per target vertex, the bitmask of its neighbors (itself if looped)."""
+    adjm = [0] * len(target.vertices)
+    for x, y in target.edges:
+        adjm[target.index(x)] |= 1 << target.index(y)
+        adjm[target.index(y)] |= 1 << target.index(x)
+    return adjm
+
+
 class HomPoset:
     """All multihomomorphisms from ``source`` to ``target``, pointwise ordered.
 
     Immutable after construction; components and atoms are cached.  The
-    optional involution is a permutation of element indices of order two.
+    optional involution is a permutation of element indices of order two;
+    ``induced_involution`` attaches one to a shallow copy, which shares the
+    elements, the index and the cached atoms and components.
     """
 
     def __init__(self, source: Graph, target: Graph, elements: Sequence[tuple],
@@ -165,10 +191,8 @@ class HomPoset:
     @cached_property
     def atoms(self) -> tuple:
         """Indices of the elements that are graph maps (all sets singletons)."""
-        return tuple(
-            i for i, e in enumerate(self.elements)
-            if all(m & (m - 1) == 0 for m in e)
-        )
+        single = _PerMask(lambda m: m & (m - 1) == 0).__getitem__
+        return tuple(compress(count(), map(all, map(map, repeat(single), self.elements))))
 
     def element_as_multihom(self, i: int) -> Multihom:
         sets = tuple(
@@ -197,10 +221,27 @@ class HomPoset:
     def component_labels(self) -> tuple:
         """Component id per element (id = smallest element index in the component).
 
-        Ground truth is the comparability graph; computed by union-find over
-        lower covers (drop one color from one set), which generate the order.
+        Ground truth is the comparability graph.  The poset is the face
+        poset of the Hom complex, a regular cell complex whose vertices are
+        the atoms, so its components are those of the 1-skeleton.  A 1-cell
+        doubles one set of an atom ``a``, ``a[v]`` becoming ``{a[v], c}``.
+        Only the colors ``c`` above ``a[v]`` and adjacent to the color of
+        every source neighbor of ``v`` are tried, ``v`` itself included when
+        it has a loop; the 1-cell is then an element exactly when its other
+        end, ``a`` with ``c`` at ``v``, is in ``index``.  Union-find joins
+        the atoms along the 1-cells, and every element takes the label of
+        its lowest atom (the lowest color of every set), which lies below it
+        and comes first in canonical order, so the smallest element of a
+        component is an atom.
         """
-        parent = list(range(len(self)))
+        elements, index = self.elements, self.index
+        source = self.source
+        adj = dict(zip((1 << k for k in range(len(self.target.vertices))),
+                       _adjacency_masks(self.target)))
+        full = (1 << len(adj)) - 1
+        nbrs = [[source.index(u) for u in source.neighbors(v)]
+                for v in source.vertices]
+        parent = {i: i for i in self.atoms}
 
         def find(x: int) -> int:
             while parent[x] != x:
@@ -208,23 +249,28 @@ class HomPoset:
                 x = parent[x]
             return x
 
-        def union(x: int, y: int) -> None:
-            rx, ry = find(x), find(y)
-            if rx != ry:
-                parent[max(rx, ry)] = min(rx, ry)
-
-        for i, e in enumerate(self.elements):
-            for pos, m in enumerate(e):
-                if m & (m - 1) == 0:
+        for i in parent:
+            a = elements[i]
+            for v, us in enumerate(nbrs):
+                above = full & -(a[v] << 1)
+                for u in us:
+                    above &= adj[a[u]]
+                if not above:
                     continue
-                rest = m
-                while rest:
-                    bit = rest & -rest
-                    rest ^= bit
-                    cover = e[:pos] + (m ^ bit,) + e[pos + 1:]
-                    union(i, self.index[cover])
-        # each union keeps the smaller root, so a root is its set's minimum
-        return tuple(find(i) for i in range(len(self)))
+                head, tail = a[:v], a[v + 1:]
+                while above:
+                    c = above & -above
+                    above ^= c
+                    j = index.get(head + (c,) + tail)
+                    if j is not None:
+                        # keep the smaller root: a root is its set's minimum
+                        ri, rj = find(i), find(j)
+                        if ri != rj:
+                            parent[max(ri, rj)] = min(ri, rj)
+        root = {elements[i]: find(i) for i in parent}
+        lowest = _PerMask(lambda m: m & -m).__getitem__
+        return tuple(map(root.__getitem__,
+                         map(tuple, map(map, repeat(lowest), elements))))
 
     def components(self) -> list:
         """Partition of element indices by connected component, deterministic order."""
@@ -242,10 +288,9 @@ class HomPoset:
         """Component ids mapped to themselves by the involution."""
         if self.involution is None:
             raise InputError("poset carries no involution")
-        labels = self.component_labels
-        return sorted({
-            labels[i] for i in range(len(self)) if labels[self.involution[i]] == labels[i]
-        })
+        # every component holds an atom, and the involution maps atoms to atoms
+        labels, inv = self.component_labels, self.involution
+        return sorted({labels[i] for i in self.atoms if labels[inv[i]] == labels[i]})
 
 
 def _candidate_sets(allowed: int, has_neighbor: bool, has_loop: bool,
@@ -292,12 +337,8 @@ def enumerate_hom(source: Graph, target: Graph,
     if not source.vertices:
         raise InputError("enumerate_hom requires a nonempty source vertex set")
     cap = default_max_elements() if max_elements is None else max_elements
-    nt = len(target.vertices)
-    adjm = [0] * nt
-    for x, y in target.edges:
-        adjm[target.index(x)] |= 1 << target.index(y)
-        adjm[target.index(y)] |= 1 << target.index(x)
-    full = (1 << nt) - 1
+    adjm = _adjacency_masks(target)
+    full = (1 << len(adjm)) - 1
 
     ns = len(source.vertices)
     earlier = [
@@ -354,8 +395,11 @@ def induced_involution(z: Z2Graph, poset: HomPoset,
                        name: str = "") -> HomPoset:
     """Attach the involution eta -> eta o gamma to Hom(T, G).
 
-    Requires a loopless target and a flipping involution, which together make
-    the action fixed-point-free; a fixed element raises InvariantError.
+    Returns a shallow copy of ``poset`` carrying the involution; it shares
+    the index and the cached atoms and components, which the involution
+    does not change.  Requires a loopless target and a flipping involution,
+    which together make the action fixed-point-free; a fixed element raises
+    InvariantError.
     """
     if poset.source != z.graph:
         raise InputError("involution belongs to a different graph than the Hom source")
@@ -370,8 +414,9 @@ def induced_involution(z: Z2Graph, poset: HomPoset,
             raise InvariantError("involution image is not a poset element")
         if j == i:
             raise InvariantError(f"induced involution fixes element {i}")
-    return HomPoset(poset.source, poset.target, poset.elements,
-                    involution=perm, involution_name=name)
+    out = copy.copy(poset)
+    out.involution, out.involution_name = perm, name
+    return out
 
 
 def induced_map(f: GraphMap, poset: HomPoset,

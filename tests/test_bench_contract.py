@@ -1,5 +1,5 @@
 """The names the benchmark's tracer wraps still exist and still carry the
-full-height path.
+full-height path and the component route.
 
 ``pipeline_bench/spans.py`` rebinds homlab's functions by name from outside
 the package; a renamed or bypassed function would silently drop out of its
@@ -32,3 +32,20 @@ def test_tracer_sees_the_height_path(monkeypatch):
     assert (res.value, res.exact) == (3, True)
     for name in ("sw_height", "quotient_with_w1", "cup_power", "is_coboundary"):
         assert metrics[f"complexes.{name}_calls"] >= 1, name
+
+
+def test_tracer_sees_the_component_route(monkeypatch):
+    monkeypatch.syspath_prepend(str(BENCH))
+    import spans
+
+    tracer = spans.Tracer(homlab)
+    try:
+        report = homlab.check_swt_bound(homlab.cycle_reflection(5), homlab.complete(5),
+                                        method="component")
+        metrics = tracer.metrics()
+    finally:
+        tracer.uninstall()
+    assert (report.invariant_value, report.status) == (1, "inconclusive")
+    # one component, and its labels computed once
+    assert metrics["hom.components_s"] > 0
+    assert metrics["hom.components"] == 1

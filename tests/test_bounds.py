@@ -1,8 +1,9 @@
 import math
+from functools import cached_property
 
 import pytest
 
-from homlab import (InputError, PathCertificate, bound_suite, check_ht_bound,
+from homlab import (HomPoset, InputError, PathCertificate, bound_suite, check_ht_bound,
                     check_swt_bound, complete, complete_flip, connected_graphs,
                     cycle, cycle_reflection, enumerate_hom, induced_involution,
                     paper_gamma1, paper_gamma2, theorem1_pipeline,
@@ -96,6 +97,20 @@ class TestTheorem2Pipeline:
             "certificate", "same_component", "swt_violation",
             "equivariant_c5_map", "gamma1_moves_components"]
         assert all(s.passed for s in report.stages)
+
+    def test_components_computed_once(self, monkeypatch):
+        """The gamma2 and gamma1 posets share the components of Hom(T, K3)."""
+        labels = HomPoset.__dict__["component_labels"]
+        calls = []
+
+        def counted(poset):
+            calls.append(len(poset))
+            return labels.func(poset)
+        counted_labels = cached_property(counted)
+        counted_labels.__set_name__(HomPoset, "component_labels")
+        monkeypatch.setattr(HomPoset, "component_labels", counted_labels)
+        assert theorem2_pipeline().passed
+        assert calls == [2160]
 
     def test_broken_certificate_stops_early(self, T, K3):
         cert = bundled_fig3_certificate()

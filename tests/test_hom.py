@@ -3,7 +3,7 @@ import itertools
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from homlab import (GraphMap, InputError, InvariantError, PathCertificate,
+from homlab import (Graph, GraphMap, InputError, InvariantError, PathCertificate,
                     ResourceLimitError, complete, complete_flip, cycle,
                     enumerate_graph_maps, enumerate_hom, find_path,
                     induced_involution, induced_map, is_multihom, paper_f, paper_gamma1, paper_gamma2, verify_certificate)
@@ -174,6 +174,59 @@ class TestComponents:
     def test_T_k3_atom_route_agrees(self, hom_T_k3, atom_components):
         assert hom_T_k3.component_labels == atom_components(hom_T_k3)
 
+    @settings(max_examples=80, deadline=None, derandomize=True, database=None)
+    @given(st.data())
+    def test_one_skeleton_matches_oracles(self, small_graphs, atom_components, data):
+        """Loops and isolated vertices on both sides; the comparability BFS
+        runs on the posets small enough for its all-pairs scan."""
+        source = data.draw(small_graphs(1, loops=True))
+        target = data.draw(small_graphs(0, loops=True))
+        poset = enumerate_hom(source, target)
+        assert poset.component_labels == atom_components(poset)
+        if len(poset) <= 400:
+            assert poset.component_labels == brute_components(poset)
+
+    def test_looped_vertex_needs_an_adjacent_color(self):
+        # the atoms {0} and {2} are maps from a loop, but {0, 2} is not:
+        # 0 and 2 are not adjacent
+        loop = Graph.build([0], [(0, 0)])
+        target = Graph.build([0, 1, 2], [(0, 0), (1, 1), (2, 2), (0, 1)])
+        poset = enumerate_hom(loop, target)
+        assert poset.component_labels == brute_components(poset) == (0, 0, 0, 3)
+
+    def test_k2_c200_probes_only_valid_colors(self, K2, atom_components):
+        """Two components, the atoms (x, x +- 1) with x even and with x odd;
+        each atom probes only the colors above it adjacent to its other
+        color, not all 200."""
+        c200 = cycle(200)
+        poset = enumerate_hom(K2, c200)
+        probes = [0]
+
+        class CountingIndex(dict):
+            def get(self, key, default=None):
+                probes[0] += 1
+                return super().get(key, default)
+
+            def __contains__(self, key):
+                probes[0] += 1
+                return super().__contains__(key)
+
+            def __getitem__(self, key):
+                probes[0] += 1
+                return super().__getitem__(key)
+
+        poset.index = CountingIndex(poset.index)
+        labels = poset.component_labels
+        probed = probes[0]
+        assert sorted(set(labels)) == [0, 5]
+        assert labels == brute_components(poset) == atom_components(poset)
+        valid = 0
+        for i in poset.atoms:
+            x, y = (c200.vertices[m.bit_length() - 1] for m in poset.elements[i])
+            valid += sum(c > x for c in c200.neighbors(y))
+            valid += sum(c > y for c in c200.neighbors(x))
+        assert probed == valid == 400
+
     def test_same_component_accepts_graph_maps(self, hom_T_k3):
         f = paper_f()
         f2 = f.compose(paper_gamma2().involution)
@@ -240,6 +293,13 @@ class TestInducedInvolution:
     def test_wrong_source_rejected(self, hom_k2_k3):
         with pytest.raises(InputError):
             induced_involution(paper_gamma1(), hom_k2_k3)
+
+    def test_shares_the_index_and_cached_components(self, hom_T_k3):
+        labels = hom_T_k3.component_labels
+        z = induced_involution(paper_gamma2(), hom_T_k3)
+        assert z.index is hom_T_k3.index
+        assert z.component_labels is labels
+        assert hom_T_k3.involution is None
 
 
 class TestInducedMap:

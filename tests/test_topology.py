@@ -15,6 +15,7 @@ from homlab import (CellComplex, FreenessError, HomPoset, InputError,
                     sw_height, unit_class)
 from homlab.complexes import CocycleClass, Table, coboundary, w1_height
 from homlab.errors import ResourceLimitError
+from homlab.gf2 import rank_sparse
 
 
 class RelationPoset:
@@ -190,6 +191,19 @@ class TestBetti:
     def test_hom_cells(self, source, m, betti):
         assert betti_mod2(hom_complex(enumerate_hom(source, complete(m)))) == betti
 
+
+    @pytest.mark.parametrize("source, m", [
+        (complete(2), 3), (complete(2), 4), (complete(2), 5), (complete(2), 6),
+        (cycle(5), 4), (paper_T(), 3),
+    ])
+    def test_clearing_matches_every_rank(self, source, m):
+        """Betti numbers from the ranks of all boundary rows, none skipped."""
+        poset = enumerate_hom(source, complete(m))
+        for x in (hom_complex(poset), order_complex(poset)):
+            ranks = [rank_sparse(x.faces[d].rows(), x.n_cells(d - 1))
+                     if 1 <= d <= x.dim else 0 for d in range(x.dim + 2)]
+            assert betti_mod2(x) == tuple(x.n_cells(d) - ranks[d] - ranks[d + 1]
+                                          for d in range(x.dim + 1))
 
 class TestOrderComplex:
     def test_total_order_gives_full_simplex(self):
