@@ -6,7 +6,7 @@ from .errors import (FreenessError, HomlabError, InputError, InvariantError,
 from .graphs import (Graph, GraphMap, RetractionWitness, Z2Graph, builtin,
                      chromatic_number, complete, complete_flip,
                      connected_graphs, cycle, cycle_reflection,
-                     find_retraction_to_edge, is_flipping, is_graph_map,
+                     find_retraction_to_edge, is_graph_map,
                      paper_T, paper_f, paper_gamma1, paper_gamma2,
                      search_equivariant_map)
 from .hom import (CertificateCheck, HomPoset, Multihom, PathCertificate,

@@ -8,8 +8,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
-from .complexes import (ConnResult, HeightResult, conn_proxy, hom_complex,
-                        sw_height)
+from .complexes import conn_proxy, hom_complex, sw_height
 from .errors import HomlabError, InputError, InvariantError
 from .graphs import (Graph, GraphMap, Z2Graph, chromatic_number, complete,
                      cycle, cycle_reflection, find_retraction_to_edge,
@@ -17,7 +16,7 @@ from .graphs import (Graph, GraphMap, Z2Graph, chromatic_number, complete,
                      search_equivariant_map)
 from .hom import (HomPoset, PathCertificate, enumerate_hom, induced_involution,
                   induced_map, verify_certificate)
-from .serialize import bundled_fig3_certificate, graph_signature
+from .serialize import bundled_fig3_certificate, graph_signature, json_number
 
 __all__ = [
     "BoundReport",
@@ -57,17 +56,14 @@ class BoundReport:
     witness: Optional[str] = None
 
     def to_json(self) -> dict:
-        def num(x):
-            return x if isinstance(x, int) or math.isfinite(x) else str(x)
-
         return {
             "test_graph": self.test_graph,
             "involution": self.involution,
             "target_graph": self.target_graph,
-            "chi_target": num(self.chi_target),
-            "chi_test": num(self.chi_test),
+            "chi_target": json_number(self.chi_target),
+            "chi_test": json_number(self.chi_test),
             "bound": self.bound_kind,
-            "invariant_value": num(self.invariant_value),
+            "invariant_value": json_number(self.invariant_value),
             "invariant_exact": self.invariant_exact,
             "method": self.method,
             "status": self.status,
@@ -116,11 +112,7 @@ def check_ht_bound(t: Graph, g: Graph, allow_heuristic: bool = False,
     Without ``allow_heuristic`` only the exact proxy values (-inf, -1, 0)
     feed the verdict; anything higher reports "inconclusive".
     """
-    poset = enumerate_hom(t, g)
-    if len(poset) == 0:
-        conn = ConnResult(-math.inf, True)
-    else:
-        conn = conn_proxy(hom_complex(poset))
+    conn = conn_proxy(hom_complex(enumerate_hom(t, g)))
     chi_g = chromatic_number(g)
     chi_t = chromatic_number(t)
     if conn.exact or allow_heuristic:

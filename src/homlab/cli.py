@@ -10,8 +10,6 @@ invocations produce byte-identical JSON output.
 from __future__ import annotations
 
 import argparse
-import json
-import math
 import sys
 
 from . import bounds, complexes, graphs, hom, serialize
@@ -24,15 +22,23 @@ EXIT_RESOURCE = 3
 EXIT_INTERNAL = 4
 
 
-def _num(x):
-    return x if isinstance(x, int) or (isinstance(x, float) and math.isfinite(x)) else str(x)
-
-
 def _emit(args, payload: dict, human: str) -> None:
     if args.json:
         sys.stdout.write(serialize.dumps(payload))
     else:
         print(human)
+
+
+def _export(path: str, payload: dict) -> None:
+    with open(path, "w") as fh:
+        fh.write(serialize.dumps(payload))
+
+
+def _cells(x: complexes.CellComplex) -> dict:
+    """The cells of ``x`` per dimension, and per cell of dimension d >= 1 the
+    positions in ``cells[d - 1]`` of its mod-2 boundary."""
+    return {"cells": [list(level) for level in x.cells],
+            "faces": [table.rows() for table in x.faces[1:]]}
 
 
 def _load_pair(g_spec, h_spec):
@@ -42,7 +48,7 @@ def _load_pair(g_spec, h_spec):
 def cmd_chrom(args) -> int:
     g = serialize.load_graph(args.graph)
     chi = graphs.chromatic_number(g)
-    _emit(args, {"chromatic_number": _num(chi)}, str(chi))
+    _emit(args, {"chromatic_number": serialize.json_number(chi)}, str(chi))
     return EXIT_OK
 
 
@@ -62,10 +68,7 @@ def cmd_hom(args) -> int:
     g, h = _load_pair(args.G, args.H)
     poset = hom.enumerate_hom(g, h)
     if args.export:
-        x = complexes.order_complex(poset)
-        with open(args.export, "w") as fh:
-            fh.write(serialize.dumps(
-                {"simplices": [[list(s) for s in level] for level in x.cells]}))
+        _export(args.export, _cells(complexes.hom_complex(poset)))
     if args.components:
         comps = poset.components()
         payload = {"size": len(poset), "atoms": len(poset.atoms),
@@ -83,18 +86,18 @@ def cmd_height(args) -> int:
     t = serialize.load_graph(args.T)
     z = serialize.load_involution(args.inv, t)
     g = serialize.load_graph(args.G)
+    if args.export and args.method != "full":
+        raise InputError("--export needs --method full")
     poset = hom.induced_involution(z, hom.enumerate_hom(t, g))
-    if args.export and args.method == "full":
+    if args.export:
         quotient, w1 = complexes.quotient_with_w1(complexes.hom_complex(poset),
                                                   poset.involution)
-        cells = {"cells": [list(level) for level in quotient.cells],
-                 "faces": [table.rows() for table in quotient.faces[1:]]}
-        with open(args.export, "w") as fh:
-            fh.write(serialize.dumps({"quotient": cells, "w1": w1.export()}))
+        _export(args.export, {"quotient": _cells(quotient), "w1": w1.export()})
         res = complexes.HeightResult(complexes.w1_height(w1), True, "full")
     else:
         res = complexes.sw_height(poset, method=args.method)
-    payload = {"height": _num(res.value), "exact": res.exact, "method": res.method}
+    payload = {"height": serialize.json_number(res.value), "exact": res.exact,
+               "method": res.method}
     bound = "" if res.exact else " (lower bound)"
     _emit(args, payload, f"{res.value}{bound} [{res.method}]")
     return EXIT_OK
@@ -102,11 +105,7 @@ def cmd_height(args) -> int:
 
 def cmd_betti(args) -> int:
     g, h = _load_pair(args.G, args.H)
-    poset = hom.enumerate_hom(g, h)
-    if len(poset) == 0:
-        _emit(args, {"betti": []}, "()")
-        return EXIT_OK
-    b = complexes.betti_mod2(complexes.hom_complex(poset))
+    b = complexes.betti_mod2(complexes.hom_complex(hom.enumerate_hom(g, h)))
     _emit(args, {"betti": list(b)}, str(b))
     return EXIT_OK
 
@@ -237,7 +236,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("H")
     sp.add_argument("--components", action="store_true")
     sp.add_argument("--export", metavar="PATH",
-                    help="write the order complex as JSON")
+                    help="write the cells of the Hom complex, with their face "
+                         "lists, as JSON")
     sp.set_defaults(fn=cmd_hom)
 
     sp = add_parser("height", help="Stiefel-Whitney height of Hom(T, G)")

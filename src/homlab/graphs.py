@@ -24,7 +24,6 @@ __all__ = [
     "is_graph_map",
     "chromatic_number",
     "k_coloring",
-    "is_flipping",
     "find_retraction_to_edge",
     "search_equivariant_map",
     "complete",
@@ -202,12 +201,8 @@ class Z2Graph:
 
     @property
     def is_flipping(self) -> bool:
+        """True iff some vertex is adjacent to its image under the involution."""
         return any(self.graph.has_edge(v, self.involution(v)) for v in self.graph.vertices)
-
-
-def is_flipping(z: Z2Graph) -> bool:
-    """True iff some vertex is adjacent to its image under the involution."""
-    return z.is_flipping
 
 
 @dataclass(frozen=True)
@@ -309,9 +304,8 @@ def search_equivariant_map(a: Z2Graph, b: Z2Graph) -> Optional[GraphMap]:
 
     def consistent(i: int, w: int) -> bool:
         for j in adj_a[i]:
-            if assignment[j] >= 0 and not gb.has_edge(
-                gb.vertices[w], gb.vertices[assignment[j]]
-            ):
+            x = w if j == i else assignment[j]  # a loop at i needs one at w
+            if x >= 0 and not gb.has_edge(gb.vertices[w], gb.vertices[x]):
                 return False
         return True
 

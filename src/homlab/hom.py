@@ -109,6 +109,11 @@ def _mask_key(mask: int) -> tuple:
     return tuple(out)
 
 
+def _atom(target: Graph, row: tuple) -> tuple:
+    """A coloring as an atom: one singleton mask per source vertex."""
+    return tuple(1 << target.index(w) for w in row)
+
+
 class _PerMask(dict):
     """``fn`` of a color mask, computed once per mask; ``__getitem__``
     serves it to ``map`` without a Python call on a hit."""
@@ -129,6 +134,37 @@ def _adjacency_masks(target: Graph) -> list:
         adjm[target.index(x)] |= 1 << target.index(y)
         adjm[target.index(y)] |= 1 << target.index(x)
     return adjm
+
+
+def _moves(source: Graph, target: Graph) -> Callable[[Sequence, int], int]:
+    """``moves(a, v)``: the mask of the colors ``c`` other than ``a[v]`` for
+    which the atom ``a`` with ``{a[v], c}`` at ``v`` is a multihom, a 1-cell
+    of the Hom complex from ``a`` to ``a`` recolored at ``v``.  They are the
+    colors adjacent to the color of every neighbor of ``v`` (``v`` itself
+    included when it has a loop) and, when ``v`` has a loop, looped.  A
+    vertex of a partial coloring left at 0 constrains nothing."""
+    adjm = _adjacency_masks(target)
+    full = (1 << len(adjm)) - 1
+    adj = {0: full, **dict(zip((1 << k for k in range(len(adjm))), adjm))}
+    looped = sum(m & 1 << k for k, m in enumerate(adjm))
+    keep = [looped if v in source.neighbors(v) else full for v in source.vertices]
+    nbrs = [tuple(map(source.index, source.neighbors(v))) for v in source.vertices]
+
+    def moves(a: Sequence, v: int) -> int:
+        m = keep[v] & ~a[v]
+        for u in nbrs[v]:
+            m &= adj[a[u]]
+        return m
+
+    return moves
+
+
+def _recolorings(moves: Callable[[Sequence, int], int], a: tuple):
+    """The atoms one move from ``a``, by vertex and then color order."""
+    for v in range(len(a)):
+        head, tail = a[:v], a[v + 1:]
+        for k in _mask_key(moves(a, v)):
+            yield head + (1 << k,) + tail
 
 
 class HomPoset:
@@ -209,9 +245,8 @@ class HomPoset:
         return GraphMap.build(self.source, self.target, assignment)
 
     def index_of_graph_map(self, phi: GraphMap) -> int:
-        e = tuple(1 << self.target.index(w) for w in phi.assignment)
         try:
-            return self.index[e]
+            return self.index[_atom(self.target, phi.assignment)]
         except KeyError:
             raise InputError("graph map is not an element of this Hom poset") from None
 
@@ -224,23 +259,15 @@ class HomPoset:
         Ground truth is the comparability graph.  The poset is the face
         poset of the Hom complex, a regular cell complex whose vertices are
         the atoms, so its components are those of the 1-skeleton.  A 1-cell
-        doubles one set of an atom ``a``, ``a[v]`` becoming ``{a[v], c}``.
-        Only the colors ``c`` above ``a[v]`` and adjacent to the color of
-        every source neighbor of ``v`` are tried, ``v`` itself included when
-        it has a loop; the 1-cell is then an element exactly when its other
-        end, ``a`` with ``c`` at ``v``, is in ``index``.  Union-find joins
-        the atoms along the 1-cells, and every element takes the label of
-        its lowest atom (the lowest color of every set), which lies below it
-        and comes first in canonical order, so the smallest element of a
-        component is an atom.
+        doubles one set of an atom, and each is found once, from the atom
+        whose color at the doubled vertex is the lower one (see ``_moves``).
+        Union-find joins the atoms along the 1-cells, and every element
+        takes the label of its lowest atom (the lowest color of every set),
+        which lies below it and comes first in canonical order, so the
+        smallest element of a component is an atom.
         """
         elements, index = self.elements, self.index
-        source = self.source
-        adj = dict(zip((1 << k for k in range(len(self.target.vertices))),
-                       _adjacency_masks(self.target)))
-        full = (1 << len(adj)) - 1
-        nbrs = [[source.index(u) for u in source.neighbors(v)]
-                for v in source.vertices]
+        moves = _moves(self.source, self.target)
         parent = {i: i for i in self.atoms}
 
         def find(x: int) -> int:
@@ -251,22 +278,18 @@ class HomPoset:
 
         for i in parent:
             a = elements[i]
-            for v, us in enumerate(nbrs):
-                above = full & -(a[v] << 1)
-                for u in us:
-                    above &= adj[a[u]]
+            for v, m in enumerate(a):
+                above = moves(a, v) & -(m << 1)
                 if not above:
                     continue
                 head, tail = a[:v], a[v + 1:]
                 while above:
                     c = above & -above
                     above ^= c
-                    j = index.get(head + (c,) + tail)
-                    if j is not None:
-                        # keep the smaller root: a root is its set's minimum
-                        ri, rj = find(i), find(j)
-                        if ri != rj:
-                            parent[max(ri, rj)] = min(ri, rj)
+                    # keep the smaller root: a root is its set's minimum
+                    ri, rj = find(i), find(index[head + (c,) + tail])
+                    if ri != rj:
+                        parent[max(ri, rj)] = min(ri, rj)
         root = {elements[i]: find(i) for i in parent}
         lowest = _PerMask(lambda m: m & -m).__getitem__
         return tuple(map(root.__getitem__,
@@ -345,7 +368,7 @@ def enumerate_hom(source: Graph, target: Graph,
         [source.index(u) for u in source.neighbors(v) if source.index(u) < i]
         for i, v in enumerate(source.vertices)
     ]
-    kind = [(bool(source.neighbors(v)), source.has_edge(v, v))
+    kind = [(bool(source.neighbors(v)), v in source.neighbors(v))
             for v in source.vertices]
     cache = {}
 
@@ -447,8 +470,9 @@ def induced_map(f: GraphMap, poset: HomPoset,
 
 @dataclass(frozen=True)
 class PathCertificate:
-    """A sequence of proper colorings, consecutive ones differing in at most
-    one vertex; witnesses membership in one connected component."""
+    """A sequence of proper colorings, consecutive ones equal or one move
+    apart (see ``verify_certificate``); witnesses membership in one
+    connected component."""
 
     source: Graph
     target: Graph
@@ -481,8 +505,10 @@ class CertificateCheck:
 
 
 def verify_certificate(cert: PathCertificate) -> CertificateCheck:
-    """Check every coloring is a graph map and consecutive colorings differ in
-    zero or one vertex; reports the first failing index and reason."""
+    """Check every coloring is a graph map and each step is a move: it
+    recolors at most one vertex, along a 1-cell of the Hom complex (the union
+    of the two colorings is a multihom).  Reports the first failing index
+    and reason."""
     for idx, row in enumerate(cert.colorings):
         if len(row) != len(cert.source.vertices):
             raise InputError(f"coloring {idx} has the wrong length")
@@ -490,38 +516,36 @@ def verify_certificate(cert: PathCertificate) -> CertificateCheck:
             cert.target.index(w)
         if not is_graph_map(row, cert.source, cert.target):
             return CertificateCheck(False, idx, "coloring is not a graph map")
-    for idx in range(1, len(cert.colorings)):
-        diff = sum(
-            1 for a, b in zip(cert.colorings[idx - 1], cert.colorings[idx]) if a != b
-        )
-        if diff > 1:
-            return CertificateCheck(False, idx, f"step changes {diff} vertices")
+    moves = _moves(cert.source, cert.target)
+    atoms = [_atom(cert.target, row) for row in cert.colorings]
+    for idx in range(1, len(atoms)):
+        a, b = atoms[idx - 1], atoms[idx]
+        changed = [v for v in range(len(a)) if a[v] != b[v]]
+        if len(changed) > 1:
+            return CertificateCheck(False, idx, f"step changes {len(changed)} vertices")
+        if changed and not moves(a, changed[0]) & b[changed[0]]:
+            return CertificateCheck(False, idx, "step is not a 1-cell: the union "
+                                    "of the two colorings is not a multihom")
     return CertificateCheck(True)
 
 
 def enumerate_graph_maps(source: Graph, target: Graph) -> list:
     """All graph maps source -> target as assignment tuples, lexicographic in
-    canonical vertex/color order.  These are the atoms of Hom(source, target)."""
-    ns = len(source.vertices)
-    earlier = [
-        [source.index(u) for u in source.neighbors(v) if source.index(u) < i]
-        for i, v in enumerate(source.vertices)
-    ]
-    self_loop = [source.has_edge(v, v) for v in source.vertices]
+    canonical vertex/color order.  These are the atoms of Hom(source, target),
+    found by coloring vertex ``i`` with each move color of the coloring of
+    the vertices before it."""
+    moves = _moves(source, target)
     out = []
-    assignment = [None] * ns
+    partial = [0] * len(source.vertices)
 
     def extend(i: int) -> None:
-        if i == ns:
-            out.append(tuple(assignment))
+        if i == len(partial):
+            out.append(tuple(target.vertices[m.bit_length() - 1] for m in partial))
             return
-        for w in target.vertices:
-            if self_loop[i] and not target.has_edge(w, w):
-                continue
-            if all(target.has_edge(assignment[j], w) for j in earlier[i]):
-                assignment[i] = w
-                extend(i + 1)
-        assignment[i] = None
+        for k in _mask_key(moves(partial, i)):
+            partial[i] = 1 << k
+            extend(i + 1)
+        partial[i] = 0
 
     extend(0)
     return out
@@ -529,37 +553,19 @@ def enumerate_graph_maps(source: Graph, target: Graph) -> list:
 
 def find_path(source: Graph, target: Graph, phi: GraphMap,
               psi: GraphMap) -> Optional[PathCertificate]:
-    """Shortest single-vertex-recoloring path between two proper colorings.
+    """Shortest path of moves between two proper colorings, or None.
 
-    Breadth-first search over the atoms of Hom(source, target); among the
-    shortest paths the lexicographically first one (neighbor order = vertex
-    canonical order, then color canonical order) is returned.  None means the
-    two colorings are not joined by single-vertex moves; that does not by
-    itself prove poset-level disconnection.
+    A move recolors one vertex along a 1-cell of the Hom complex (see
+    ``_moves``), so a path exists exactly when the two colorings share a
+    component of Hom(source, target).  Breadth-first search over the atoms;
+    among the shortest paths the lexicographically first one (neighbor order
+    = vertex canonical order, then color canonical order) is returned.
     """
     for m, nm in ((phi, "start"), (psi, "end")):
         if not is_graph_map(m.assignment, source, target):
             raise InputError(f"{nm} coloring is not a proper coloring")
-    start, goal = phi.assignment, psi.assignment
-
-    def neighbors(state: tuple):
-        for i in range(len(state)):
-            for w in target.vertices:
-                if w == state[i]:
-                    continue
-                if source.has_edge(source.vertices[i], source.vertices[i]) and \
-                        not target.has_edge(w, w):
-                    continue
-                ok = True
-                for u in source.neighbors(source.vertices[i]):
-                    j = source.index(u)
-                    if j == i:
-                        continue
-                    if not target.has_edge(state[j], w):
-                        ok = False
-                        break
-                if ok:
-                    yield state[:i] + (w,) + state[i + 1:]
+    moves = _moves(source, target)
+    start, goal = _atom(target, phi.assignment), _atom(target, psi.assignment)
 
     # distances from the goal, then a greedy lexicographic descent from the start
     dist = {goal: 0}
@@ -568,7 +574,7 @@ def find_path(source: Graph, target: Graph, phi: GraphMap,
         cur = queue.popleft()
         if cur == start:
             break
-        for nxt in neighbors(cur):
+        for nxt in _recolorings(moves, cur):
             if nxt not in dist:
                 dist[nxt] = dist[cur] + 1
                 queue.append(nxt)
@@ -576,10 +582,10 @@ def find_path(source: Graph, target: Graph, phi: GraphMap,
         return None
 
     path = [start]
-    cur = start
-    while cur != goal:
-        d = dist[cur]
-        nxt = next(n for n in neighbors(cur) if dist.get(n, -1) == d - 1)
-        path.append(nxt)
-        cur = nxt
-    return PathCertificate.build(source, target, path)
+    while path[-1] != goal:
+        d = dist[path[-1]]
+        path.append(next(n for n in _recolorings(moves, path[-1])
+                         if dist.get(n, -1) == d - 1))
+    colors = target.vertices
+    return PathCertificate.build(
+        source, target, [tuple(colors[m.bit_length() - 1] for m in a) for a in path])

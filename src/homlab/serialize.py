@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from importlib import resources
 from pathlib import Path
 
@@ -31,12 +32,18 @@ __all__ = [
     "bundled_fig3_certificate",
     "graph_signature",
     "dumps",
+    "json_number",
 ]
 
 
 def dumps(obj) -> str:
     """Deterministic JSON: sorted keys, compact separators, trailing newline."""
     return json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
+
+
+def json_number(x):
+    """``x`` if an int or a finite float, else its string ("inf", "nan")."""
+    return x if isinstance(x, int) or (isinstance(x, float) and math.isfinite(x)) else str(x)
 
 
 def graph_to_json(g: Graph) -> dict:

@@ -103,11 +103,16 @@ class TestCliBasics:
         assert len(data["components"]) == 4
 
     def test_hom_export(self, capsys, tmp_path):
-        out_path = tmp_path / "oc.json"
+        out_path = tmp_path / "hom.json"
         code, _, _ = run(capsys, "hom", "K2", "K3", "--export", str(out_path))
         assert code == 0
         data = json.loads(out_path.read_text())
-        assert len(data["simplices"][0]) == 12 and len(data["simplices"][1]) == 12
+        # Hom(K2, K3) is a hexagon: its 6 atoms and the 6 elements with one
+        # set of two colors, named by their canonical indices.  Edge 1 =
+        # ({1}, {2, 3}) has the atoms 2 = ({1}, {3}) and 0 = ({1}, {2}) as
+        # faces, positions 1 and 0 in cells[0].
+        assert data["cells"] == [[0, 2, 5, 7, 9, 11], [1, 3, 4, 6, 8, 10]]
+        assert data["faces"] == [[[1, 0], [3, 1], [5, 0], [3, 2], [4, 2], [5, 4]]]
 
     def test_betti(self, capsys):
         code, out, _ = run(capsys, "--json", "betti", "K2", "K4")
@@ -138,6 +143,13 @@ class TestCliBasics:
         assert data["quotient"]["faces"] == [[[0, 1], [1, 2], [0, 2]]]
         assert data["w1"] == {"degree": 1, "support": [2]}
 
+    def test_height_export_needs_full_method(self, capsys, tmp_path):
+        out_path = tmp_path / "q.json"
+        code, out, err = run(capsys, "height", "K2", "swap", "K3", "--method",
+                             "component", "--export", str(out_path))
+        assert code == 2 and out == "" and "--export" in err
+        assert not out_path.exists()
+
     def test_height_export_builds_complex_once(self, capsys, tmp_path,
                                                monkeypatch):
         _, plain, _ = run(capsys, "--json", "height", "K2", "swap", "K4")
@@ -158,6 +170,19 @@ class TestCliBasics:
         data = json.loads(out)
         assert code == 0 and data["found"] is True
         assert data["map"]["1"] == "a"
+
+    def test_eqmap_loop_needs_a_looped_image(self, capsys, tmp_path):
+        loop = tmp_path / "loop.json"
+        loop.write_text(dumps({"vertices": ["v"], "edges": [["v", "v"]]}))
+        loop_id = tmp_path / "loop_id.json"
+        loop_id.write_text(dumps({"map": {"v": "v"}}))
+        pair = tmp_path / "pair.json"
+        pair.write_text(dumps({"vertices": [1, 2], "edges": [[2, 2]]}))
+        pair_id = tmp_path / "pair_id.json"
+        pair_id.write_text(dumps({"map": {"1": 1, "2": 2}}))
+        code, out, _ = run(capsys, "--json", "eqmap", str(loop), str(loop_id),
+                           str(pair), str(pair_id))
+        assert code == 0 and json.loads(out) == {"found": True, "map": {"v": 2}}
 
     def test_eqmap_none(self, capsys):
         code, out, _ = run(capsys, "eqmap", "C5", "c5_reflection",

@@ -6,7 +6,7 @@ import pytest
 from homlab import (Graph, GraphMap, InputError, Z2Graph, builtin,
                     chromatic_number, complete, complete_flip,
                     connected_graphs, cycle, cycle_reflection,
-                    find_retraction_to_edge, is_flipping, is_graph_map,
+                    find_retraction_to_edge, is_graph_map,
                     paper_T, paper_f, paper_gamma1, paper_gamma2,
                     search_equivariant_map)
 
@@ -117,15 +117,15 @@ class TestZ2Graph:
             Z2Graph.build(Graph.build([1, 2, 3], [(1, 2)]), {1: 1, 2: 3, 3: 2})
 
     def test_gamma1_gamma2_flipping(self):
-        assert is_flipping(paper_gamma1())
-        assert is_flipping(paper_gamma2())
+        assert paper_gamma1().is_flipping
+        assert paper_gamma2().is_flipping
 
     def test_k2_swap_flipping(self):
-        assert is_flipping(complete_flip(2))
+        assert complete_flip(2).is_flipping
 
     def test_c4_rotation_not_flipping(self):
         rot = Z2Graph.build(cycle(4), {1: 3, 3: 1, 2: 4, 4: 2})
-        assert not is_flipping(rot)
+        assert not rot.is_flipping
 
 
 class TestRetraction:
@@ -180,6 +180,13 @@ class TestEquivariantSearch:
 
     def test_c5_into_k2_none(self):
         assert search_equivariant_map(cycle_reflection(5), complete_flip(2)) is None
+
+    def test_loop_needs_a_looped_image(self):
+        # the loop at v rules out 1, the first color tried
+        a = Z2Graph.build(Graph.build(["v"], [("v", "v")]), {"v": "v"})
+        b = Z2Graph.build(Graph.build([1, 2], [(2, 2)]), {1: 1, 2: 2})
+        phi = search_equivariant_map(a, b)
+        assert phi is not None and phi.as_dict() == {"v": 2}
 
 
 class TestBuiltins:

@@ -1,4 +1,5 @@
 import itertools
+from collections import deque
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -6,7 +7,8 @@ from hypothesis import given, settings, strategies as st
 from homlab import (Graph, GraphMap, InputError, InvariantError, PathCertificate,
                     ResourceLimitError, complete, complete_flip, cycle,
                     enumerate_graph_maps, enumerate_hom, find_path,
-                    induced_involution, induced_map, is_multihom, paper_f, paper_gamma1, paper_gamma2, verify_certificate)
+                    induced_involution, induced_map, is_graph_map, is_multihom,
+                    paper_f, paper_gamma1, paper_gamma2, verify_certificate)
 from homlab.serialize import bundled_fig3_certificate
 
 
@@ -27,6 +29,27 @@ def brute_multihoms(source, target):
         if ok:
             found.add(combo)
     return found
+
+
+def union_is_multihom(source, target, a, b):
+    """Oracle for a move: the pointwise union of two colorings is a multihom."""
+    return is_multihom([{x, y} for x, y in zip(a, b)], source, target)
+
+
+def move_distances(source, target, start):
+    """Oracle: BFS distances from ``start`` over the colorings, a step
+    recoloring one vertex with the union of the two a multihom."""
+    dist = {start: 0}
+    queue = deque([start])
+    while queue:
+        cur = queue.popleft()
+        for i in range(len(cur)):
+            for w in target.vertices:
+                nxt = cur[:i] + (w,) + cur[i + 1:]
+                if nxt not in dist and union_is_multihom(source, target, cur, nxt):
+                    dist[nxt] = dist[cur] + 1
+                    queue.append(nxt)
+    return dist
 
 
 def poset_as_set(poset):
@@ -79,6 +102,17 @@ class TestEnumerateHom:
         atom_maps = {hom_k2_k3.atom_as_graph_map(i).assignment
                      for i in hom_k2_k3.atoms}
         assert atom_maps == set(enumerate_graph_maps(K2, K3))
+
+    @settings(max_examples=80, deadline=None, derandomize=True, database=None)
+    @given(st.data())
+    def test_graph_maps_match_brute_force(self, small_graphs, data):
+        """Loops on both sides; lexicographic in canonical color order."""
+        source = data.draw(small_graphs(1, loops=True))
+        target = data.draw(small_graphs(0, loops=True))
+        expected = [row for row in itertools.product(target.vertices,
+                                                     repeat=len(source.vertices))
+                    if is_graph_map(row, source, target)]
+        assert enumerate_graph_maps(source, target) == expected
 
     def test_canonical_order_is_deterministic(self, K2, K3, hom_k2_k3):
         again = enumerate_hom(K2, K3)
@@ -382,6 +416,29 @@ class TestCertificates:
         cert = PathCertificate.build(K3, K3, [(1, 2, 3), (1, 2, 3)])
         assert verify_certificate(cert).ok
 
+    def test_looped_step_needs_adjacent_colors(self):
+        # both colorings are graph maps, but {1, 2} at the loop is not:
+        # 1 and 2 are not adjacent
+        loop = Graph.build(["v"], [("v", "v")])
+        target = Graph.build([1, 2], [(1, 1), (2, 2)])
+        check = verify_certificate(PathCertificate.build(loop, target, [(1,), (2,)]))
+        assert not check.ok and check.index == 1 and "1-cell" in check.reason
+
+    @settings(max_examples=80, deadline=None, derandomize=True, database=None)
+    @given(st.data())
+    def test_step_is_a_move_iff_union_is_multihom(self, small_graphs, data):
+        """Loops on both sides; a graph map and one vertex recolored."""
+        source = data.draw(small_graphs(1, loops=True))
+        target = data.draw(small_graphs(1, loops=True))
+        maps = enumerate_graph_maps(source, target)
+        if not maps:
+            return
+        a = data.draw(st.sampled_from(maps))
+        v = data.draw(st.integers(0, len(a) - 1))
+        b = a[:v] + (data.draw(st.sampled_from(target.vertices)),) + a[v + 1:]
+        check = verify_certificate(PathCertificate.build(source, target, [a, b]))
+        assert check.ok == union_is_multihom(source, target, a, b)
+
 
 class TestFindPath:
     @staticmethod
@@ -437,6 +494,36 @@ class TestFindPath:
         good = GraphMap.build(K2, K3, (1, 2))
         with pytest.raises(InputError):
             find_path(K2, K3, bad, good)
+
+    def test_looped_source_between_unjoined_loops(self):
+        loop = Graph.build(["v"], [("v", "v")])
+        target = Graph.build([1, 2], [(1, 1), (2, 2)])
+        one, two = (GraphMap.build(loop, target, (w,)) for w in (1, 2))
+        assert find_path(loop, target, one, two) is None
+        assert not enumerate_hom(loop, target).same_component(one, two)
+
+    @settings(max_examples=80, deadline=None, derandomize=True, database=None)
+    @given(st.data())
+    def test_path_iff_same_component(self, small_graphs, data):
+        """Loops on both sides: a path exists exactly when the endpoints share
+        a component, it is as short as the BFS over 1-cells, and the
+        verifier accepts it."""
+        source = data.draw(small_graphs(1, loops=True))
+        target = data.draw(small_graphs(1, loops=True))
+        poset = enumerate_hom(source, target)
+        if not poset.atoms:
+            return
+        i, j = (data.draw(st.sampled_from(poset.atoms)) for _ in range(2))
+        phi, psi = poset.atom_as_graph_map(i), poset.atom_as_graph_map(j)
+        cert = find_path(source, target, phi, psi)
+        assert (cert is not None) == poset.same_component(i, j)
+        dist = move_distances(source, target, phi.assignment)
+        assert (cert is not None) == (psi.assignment in dist)
+        if cert is not None:
+            assert cert.moves() == dist[psi.assignment]
+            assert cert.colorings[0] == phi.assignment
+            assert cert.colorings[-1] == psi.assignment
+            assert verify_certificate(cert).ok
 
     def test_fig3_endpoints_reachable_in_15(self):
         from homlab import paper_T
