@@ -13,6 +13,7 @@ matrix.
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
 from typing import NamedTuple, Optional, Sequence
 
@@ -117,39 +118,31 @@ class CellComplex:
         levels = [[tuple(s) for s in level] for level in simplices_by_dim]
         while levels and not levels[-1]:
             levels.pop()
-        index, faces, tops = [], [], []
+        pos = {}
+        for level in levels:
+            for s in level:
+                for v in s:
+                    pos.setdefault(v, len(pos))
+        keys, parents, lasts = [], [], []
         for d, level in enumerate(levels):
-            idx = {}
             for s in level:
                 if len(s) != d + 1:
                     raise InputError(f"simplex {s!r} has wrong length for dimension {d}")
                 if len(set(s)) != len(s):
                     raise InputError(f"simplex {s!r} repeats a vertex")
-                if s in idx:
-                    raise InputError(f"duplicate simplex {s!r}")
-                idx[s] = len(idx)
-            index.append(idx)
-            if d == 0:
-                faces.append(Table.empty(len(level)))
-                tops.append(Table.empty(len(level), (2,)))
-                continue
-            below, table = index[d - 1], []
-            for s in level:
-                row = []
-                for i in range(d + 1):
-                    face = s[:i] + s[i + 1:]
-                    if face not in below:
-                        raise InputError(f"face {face!r} of {s!r} is missing")
-                    row.append(below[face])
-                table.append(row)
-            table = np.array(table, dtype=np.intp).reshape(len(level), d + 1)
-            row = np.arange(len(level))
-            # the last edge of (v0..vd) is that of its face omitting v0
-            last = row if d == 1 else tops[-1].entries[table[:, 0], 1]
-            faces.append(Table.from_owners(np.repeat(row, d + 1), table.ravel(), len(level)))
-            tops.append(Table.from_owners(row, np.stack([table[:, d], last], axis=1),
-                                          len(level)))
-        return cls(levels, faces, tops)
+            at = np.array([[pos[v] for v in s] for s in level],
+                          dtype=np.intp).reshape(len(level), d + 1)
+            # the face omitting the last vertex, by the positions of its prefixes
+            parent = np.zeros(len(level), dtype=np.intp)
+            for k in range(d):
+                parent = keys[k].find(parent, at[:, k])
+            if (parent < 0).any():
+                s = level[np.flatnonzero(parent < 0)[0]]
+                raise InputError(f"face {s[:-1]!r} of {s!r} is missing")
+            parents.append(parent)
+            lasts.append(at[:, d])
+            keys.append(_Keys(parent, at[:, d], len(pos), level))
+        return cls(levels, *_simplex_tables(levels, keys, parents, lasts))
 
     @property
     def dim(self) -> int:
@@ -165,6 +158,70 @@ class CellComplex:
 
     # an order complex's cells are its simplices
     n_simplices = n_cells
+
+
+class _Keys:
+    """The simplices of one dimension, searchable by the key
+    ``parent * n + last``: the position of the face omitting the last vertex
+    in the dimension below, and the position of the last vertex among the
+    ``n`` vertices.  Keys that do not ascend are searched through a sorter;
+    raises InputError on a duplicate simplex."""
+
+    def __init__(self, parent: np.ndarray, last: np.ndarray, n: int, names: Sequence):
+        self.n = n
+        self.keys = parent * n + last
+        self.sorter = None
+        if (np.diff(self.keys) <= 0).any():
+            self.sorter = np.argsort(self.keys, kind="stable")
+            ordered = self.keys[self.sorter]
+            twice = np.flatnonzero(ordered[1:] == ordered[:-1])
+            if twice.size:
+                raise InputError(f"duplicate simplex {names[self.sorter[twice[0]]]!r}")
+
+    def find(self, parent: np.ndarray, last: np.ndarray) -> np.ndarray:
+        """Positions of the simplices with these keys; -1 where there is none."""
+        if not len(self.keys):
+            return np.full(len(parent), -1, dtype=np.intp)
+        wanted = parent * self.n + last
+        at = np.searchsorted(self.keys, wanted, sorter=self.sorter)
+        np.minimum(at, len(self.keys) - 1, out=at)
+        if self.sorter is not None:
+            at = self.sorter[at]
+        return np.where(self.keys[at] == wanted, at, -1)
+
+
+def _simplex_tables(names: Sequence[Sequence[tuple]], keys: Sequence[_Keys],
+                    parents: Sequence[np.ndarray], lasts: Sequence[np.ndarray]) -> tuple:
+    """Face and top tables of the ordered simplicial complex whose d-simplex
+    ``j``, named ``names[d][j]``, is the (d-1)-simplex ``parents[d][j]``
+    extended by the vertex ``lasts[d][j]``.
+
+    The face omitting the last vertex is the parent.  For ``i < d`` the face
+    omitting vertex ``i`` is the parent's face ``i`` extended by the same
+    last vertex, found by its key; a vertex's one face is the empty simplex,
+    the parent of every vertex.  Raises InputError on a missing face.
+    """
+    if not names:
+        return [], []
+    faces, tops = [Table.empty(len(names[0]))], [Table.empty(len(names[0]), (2,))]
+    below = np.zeros((len(names[0]), 1), dtype=np.intp)
+    for d in range(1, len(names)):
+        parent, n = parents[d], len(names[d])
+        table = np.empty((n, d + 1), dtype=np.intp)
+        table[:, d] = parent
+        for i in range(d):
+            table[:, i] = keys[d - 1].find(below[parent, i], lasts[d])
+        if (table < 0).any():
+            j, i = np.argwhere(table < 0)[0]
+            s = names[d][j]
+            raise InputError(f"face {s[:i] + s[i + 1:]!r} of {s!r} is missing")
+        row = np.arange(n)
+        # the last edge of (v0..vd) is that of its face omitting v0
+        last = row if d == 1 else tops[-1].entries[table[:, 0], 1]
+        faces.append(Table(np.arange(n + 1) * (d + 1), table.ravel()))
+        tops.append(Table(np.arange(n + 1), np.stack([parent, last], axis=1)))
+        below = table
+    return faces, tops
 
 
 def betti_mod2(x: CellComplex, reduced: bool = False) -> tuple:
@@ -210,35 +267,49 @@ def order_complex(poset, max_chains: Optional[int] = None) -> CellComplex:
 
     Simplices are the chains, ordered ascending; raises ResourceLimitError
     beyond the chain cap.  ``above(i)`` is asked on the first chain that
-    ends at ``i``, so the cap bounds the up-set work too.
+    ends at ``i``, so the cap bounds the up-set work too.  The depth-first
+    walk meets the chains of each length in lexicographic order and records
+    each one's parent (the chain without its last element) and last
+    element, from which the face tables are read off.
     """
     cap = default_max_elements() if max_chains is None else max_chains
-    greater = [None] * len(poset)
-    levels = []
+    n = len(poset)
+    greater = [None] * n
+    levels, parents, lasts = [], [], []
     count = 0
     chain = []
 
-    def extend(last: int) -> None:
+    def extend(last: int, parent: int) -> None:
         nonlocal count
         count += 1
         if count > cap:
             raise ResourceLimitError(f"order complex exceeds the cap of {cap} chains")
-        if len(levels) < len(chain):
+        d = len(chain) - 1
+        if d == len(levels):
             levels.append([])
-        levels[len(chain) - 1].append(tuple(chain))
-        if greater[last] is None:
-            greater[last] = poset.above(last)
-        for j in greater[last]:
+            parents.append(array("q"))
+            lasts.append(array("q"))
+        here = len(levels[d])
+        levels[d].append(tuple(chain))
+        parents[d].append(parent)
+        lasts[d].append(last)
+        up = greater[last]
+        if up is None:
+            up = greater[last] = poset.above(last)
+        for j in up:
             chain.append(j)
-            extend(j)
+            extend(j, here)
             chain.pop()
 
-    for i in range(len(poset)):
+    for i in range(n):
         chain = [i]
-        extend(i)
-    for level in levels:
-        level.sort()
-    return CellComplex.simplicial(levels)
+        extend(i, 0)
+    parents = [np.frombuffer(p, dtype=np.int64).astype(np.intp, copy=False) for p in parents]
+    lasts = [np.frombuffer(v, dtype=np.int64).astype(np.intp, copy=False) for v in lasts]
+    keys = [_Keys(p, v, n, level) for p, v, level in zip(parents, lasts, levels)]
+    if any(k.sorter is not None for k in keys):
+        raise InputError("poset.above must list ascending indices")
+    return CellComplex(levels, *_simplex_tables(levels, keys, parents, lasts))
 
 
 def hom_complex(poset: HomPoset, max_cells: Optional[int] = None) -> CellComplex:

@@ -137,23 +137,37 @@ def _adjacency_masks(target: Graph) -> list:
 
 
 def _moves(source: Graph, target: Graph) -> Callable[[Sequence, int], int]:
-    """``moves(a, v)``: the mask of the colors ``c`` other than ``a[v]`` for
-    which the atom ``a`` with ``{a[v], c}`` at ``v`` is a multihom, a 1-cell
-    of the Hom complex from ``a`` to ``a`` recolored at ``v``.  They are the
-    colors adjacent to the color of every neighbor of ``v`` (``v`` itself
-    included when it has a loop) and, when ``v`` has a loop, looped.  A
-    vertex of a partial coloring left at 0 constrains nothing."""
+    """``moves(e, v)``: the mask of the colors ``c`` outside ``e[v]`` for
+    which ``e`` with ``e[v] | c`` at ``v`` is again a multihom, for a
+    multihom ``e``; these are exactly the upper covers of ``e`` at ``v``.
+    On an atom each is a 1-cell of the Hom complex from ``e`` to ``e``
+    recolored at ``v``.  They are the colors adjacent to every color of
+    every neighbor of ``v`` (``v`` itself included when it has a loop) and,
+    when ``v`` has a loop, looped.  A vertex of a partial coloring left at
+    0 constrains nothing."""
     adjm = _adjacency_masks(target)
     full = (1 << len(adjm)) - 1
-    adj = {0: full, **dict(zip((1 << k for k in range(len(adjm))), adjm))}
+
+    def common(mask: int) -> int:
+        out = full
+        while mask:
+            bit = mask & -mask
+            mask ^= bit
+            out &= adjm[bit.bit_length() - 1]
+        return out
+
+    # pre-seeded, so that atoms and partial colorings only ever hit the dict
+    adj = _PerMask(common)
+    adj[0] = full
+    adj.update(zip((1 << k for k in range(len(adjm))), adjm))
     looped = sum(m & 1 << k for k, m in enumerate(adjm))
     keep = [looped if v in source.neighbors(v) else full for v in source.vertices]
     nbrs = [tuple(map(source.index, source.neighbors(v))) for v in source.vertices]
 
-    def moves(a: Sequence, v: int) -> int:
-        m = keep[v] & ~a[v]
+    def moves(e: Sequence, v: int) -> int:
+        m = keep[v] & ~e[v]
         for u in nbrs[v]:
-            m &= adj[a[u]]
+            m &= adj[e[u]]
         return m
 
     return moves
@@ -195,34 +209,37 @@ class HomPoset:
     def above(self, i: int) -> list:
         """Ascending indices of the elements strictly above element ``i``.
 
-        Depth-first walk over upper covers (add one missing color to one
-        set); a candidate that is not a multihom is not in ``index`` and is
-        not walked past.  Multihoms are closed under shrinking sets, so every
-        element between ``i`` and any ``j >= i`` is itself an element, and
-        the walk reaches every ``j`` above ``i``.
+        Depth-first walk over upper covers: ``_moves`` gives the colors that
+        can join each set, so every cover walked is an element, looked up in
+        ``index``, and no candidate is probed in vain.  Multihoms are closed
+        under shrinking sets, so every element between ``i`` and any
+        ``j >= i`` is itself an element, and the walk reaches every ``j``
+        above ``i``.
         """
-        full = (1 << len(self.target.vertices)) - 1
-        index = self.index
+        moves, index = self._cover_moves, self.index
         start = self.elements[i]
         found = {start: i}
         stack = [start]
         while stack:
             e = stack.pop()
-            for pos, m in enumerate(e):
-                head, tail = e[:pos], e[pos + 1:]
-                rest = full & ~m
+            for v, m in enumerate(e):
+                rest = moves(e, v)
+                if not rest:
+                    continue
+                head, tail = e[:v], e[v + 1:]
                 while rest:
                     bit = rest & -rest
                     rest ^= bit
                     f = head + (m | bit,) + tail
-                    if f in found:
-                        continue
-                    j = index.get(f)
-                    if j is not None:
-                        found[f] = j
+                    if f not in found:
+                        found[f] = index[f]
                         stack.append(f)
         del found[start]
         return sorted(found.values())
+
+    @cached_property
+    def _cover_moves(self) -> Callable[[Sequence, int], int]:
+        return _moves(self.source, self.target)
 
     @cached_property
     def atoms(self) -> tuple:
@@ -266,8 +283,7 @@ class HomPoset:
         which lies below it and comes first in canonical order, so the
         smallest element of a component is an atom.
         """
-        elements, index = self.elements, self.index
-        moves = _moves(self.source, self.target)
+        elements, index, moves = self.elements, self.index, self._cover_moves
         parent = {i: i for i in self.atoms}
 
         def find(x: int) -> int:

@@ -79,6 +79,32 @@ def boundary_matrix():
     return dense_boundary_matrix
 
 
+def tuple_simplex_tables(levels):
+    """Oracle for the face and top tables of an ordered simplicial complex,
+    as rows: each face is found by slicing its simplex's tuple and looking
+    the slice up in a dict of the dimension below.  A simplex's one top
+    pair is its face omitting the last vertex and its last edge."""
+    faces, tops, below = [], [], {}
+    for d, level in enumerate(levels):
+        if d == 0:
+            face_rows = top_rows = [[] for _ in level]
+        else:
+            face_rows = [[below[s[:i] + s[i + 1:]] for i in range(d + 1)]
+                         for s in level]
+            # the last edge of (v0..vd) is that of its face omitting v0
+            top_rows = [[[row[d], j if d == 1 else tops[-1][row[0]][0][1]]]
+                        for j, row in enumerate(face_rows)]
+        faces.append(face_rows)
+        tops.append(top_rows)
+        below = {s: j for j, s in enumerate(level)}
+    return faces, tops
+
+
+@pytest.fixture(scope="session")
+def simplex_tables():
+    return tuple_simplex_tables
+
+
 def simplicial_involution(x, vertex_map):
     """The cell map of a vertex map on a simplicial complex: each simplex
     goes to the tuple of its vertices' images, a cell or not."""

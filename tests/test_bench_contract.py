@@ -1,5 +1,5 @@
 """The names the benchmark's tracer wraps still exist and still carry the
-full-height path and the component route.
+full-height path, the component route and the Betti path.
 
 ``pipeline_bench/spans.py`` rebinds homlab's functions by name from outside
 the package; a renamed or bypassed function would silently drop out of its
@@ -49,3 +49,21 @@ def test_tracer_sees_the_component_route(monkeypatch):
     # one component, and its labels computed once
     assert metrics["hom.components_s"] > 0
     assert metrics["hom.components"] == 1
+
+
+def test_tracer_sees_the_betti_path(monkeypatch):
+    monkeypatch.syspath_prepend(str(BENCH))
+    import spans
+
+    tracer = spans.Tracer(homlab)
+    try:
+        x = homlab.order_complex(homlab.enumerate_hom(homlab.complete(2),
+                                                      homlab.complete(5)))
+        betti = homlab.betti_mod2(x)
+        metrics = tracer.metrics()
+    finally:
+        tracer.uninstall()
+    assert betti == (1, 0, 0, 1)
+    assert metrics["complexes.order_complex_calls"] >= 1
+    assert metrics["complexes.betti_mod2_calls"] >= 1
+    assert [metrics[f"complexes.simplices.d{d}"] for d in range(4)] == [180, 1140, 1920, 960]

@@ -109,6 +109,30 @@ class TestOrderedDeltaComplex:
                                                      dtype=np.uint8))
             assert np.array_equal(coboundary(c).values, dense.T @ c.values % 2)
 
+    @pytest.mark.parametrize("source, m", [
+        (complete(2), 3), (complete(2), 4), (complete(2), 5), (complete(2), 6),
+        (paper_T(), 3), (cycle(5), 4),
+    ])
+    def test_tables_match_tuple_oracle(self, source, m, simplex_tables):
+        x = order_complex(enumerate_hom(source, complete(m)))
+        # the walk's preorder meets each dimension's chains in order
+        assert all(list(level) == sorted(level) for level in x.cells)
+        faces, tops = simplex_tables(x.cells)
+        assert [t.rows() for t in x.faces] == faces
+        assert [t.rows() for t in x.tops] == tops
+
+    def test_unsorted_simplices_match_tuple_oracle(self, hom_k2_k4, simplex_tables):
+        # named vertices and shuffled levels take the sorter route
+        rng = np.random.default_rng(5)
+        levels = [[tuple(f"v{v}" for v in s) for s in level]
+                  for level in order_complex(hom_k2_k4).cells]
+        for level in levels:
+            rng.shuffle(level)
+        x = CellComplex.simplicial(levels)
+        faces, tops = simplex_tables(levels)
+        assert [t.rows() for t in x.faces] == faces
+        assert [t.rows() for t in x.tops] == tops
+
     def test_given_faces_match_derived(self, hom_k2_k4_swap):
         # the quotient is given its face lists; each must list the orbits of
         # the faces of its lift, found here by the order relation
@@ -254,25 +278,54 @@ class TestOrderComplex:
             order_complex(poset, max_chains=100_000)
         assert len(walked) == len(set(walked)) < len(poset)
 
+    def test_descending_upsets_rejected(self):
+        class Descending(RelationPoset):
+            def above(self, i):
+                return super().above(i)[::-1]
+        with pytest.raises(InputError):
+            order_complex(Descending(4, lambda i, j: i <= j))
+
     @settings(max_examples=80, deadline=None, derandomize=True, database=None)
     @given(st.data())
-    def test_upsets_match_leq_route(self, small_graphs, data):
+    def test_upsets_match_leq_route(self, small_graphs, simplex_tables, data):
         source = data.draw(small_graphs(1, loops=False))
         target = data.draw(small_graphs(2, loops=True))
+        check_upsets_against_leq(source, target, simplex_tables)
+
+    @settings(max_examples=80, deadline=None, derandomize=True, database=None)
+    @given(st.data())
+    def test_looped_upsets_match_leq_route(self, small_graphs, simplex_tables, data):
+        # a looped source vertex walks its covers through the loop term
+        source = data.draw(small_graphs(1, loops=True))
+        target = data.draw(small_graphs(2, loops=True))
+        check_upsets_against_leq(source, target, simplex_tables)
+
+
+def check_upsets_against_leq(source, target, simplex_tables):
+    """The order complex on the up-set walk equals the one on the ``leq``
+    scan, its levels are sorted and its tables are the tuple oracle's."""
+    try:
+        poset = enumerate_hom(source, target, max_elements=400)
+    except ResourceLimitError:
+        assume(False)
+    routes = (lambda: order_complex(poset, max_chains=20_000),
+              lambda: order_complex_from_relation(len(poset), poset.leq,
+                                                  max_chains=20_000))
+    built = []
+    for route in routes:
         try:
-            poset = enumerate_hom(source, target, max_elements=400)
+            built.append(route())
         except ResourceLimitError:
-            assume(False)
-        routes = (lambda: order_complex(poset, max_chains=20_000),
-                  lambda: order_complex_from_relation(len(poset), poset.leq,
-                                                      max_chains=20_000))
-        built = []
-        for route in routes:
-            try:
-                built.append(route().cells)
-            except ResourceLimitError:
-                built.append(None)
-        assert built[0] == built[1]
+            built.append(None)
+    if built[0] is None:
+        assert built[1] is None
+        return
+    x = built[0]
+    assert x.cells == built[1].cells
+    assert all(list(level) == sorted(level) for level in x.cells)
+    faces, tops = simplex_tables(x.cells)
+    assert [t.rows() for t in x.faces] == faces
+    assert [t.rows() for t in x.tops] == tops
 
 
 def barycentric_height(poset, on_simplices) -> float:
