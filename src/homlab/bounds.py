@@ -252,7 +252,7 @@ def theorem1_pipeline(t: Graph, suite: Optional[Sequence[Graph]] = None) -> Pipe
     for g in suite:
         q = enumerate_hom(edge_graph, g)
         r_star = induced_map(witness.retraction, q)  # Hom(edge,G) -> Hom(T,G)
-        big = HomPoset(t, g, sorted(set(r_star)))
+        big = HomPoset(t, g, set(r_star))
         i_images = induced_map(witness.inclusion, big)
         composed = [i_images[big.index[e]] for e in r_star]
         ok = composed == list(q.elements)

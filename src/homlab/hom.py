@@ -1,10 +1,11 @@
 """Multihomomorphisms, the Hom poset, its induced involution, components,
 and single-vertex-move path certificates.
 
-Internally an element of Hom(G, H) is a tuple of bitmasks over the vertices
-of H, one mask per vertex of G in canonical order.  The canonical element
-order is lexicographic on the sequence of color sets (each set read as its
-sorted tuple of target indices).
+An element of Hom(G, H) is a row of bitmasks over the vertices of H, one
+mask per vertex of G in canonical order; a Hom poset holds its elements as
+one 2-D numpy array of such rows, and builds them as tuples only on demand.
+The canonical element order is lexicographic on the sequence of color sets
+(each set read as its sorted tuple of target indices).
 """
 
 from __future__ import annotations
@@ -14,9 +15,10 @@ import os
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import compress, count, repeat
 from operator import itemgetter
 from typing import Callable, Optional, Sequence
+
+import numpy as np
 
 from .errors import FreenessError, InputError, InvariantError, ResourceLimitError
 from .graphs import Graph, GraphMap, Z2Graph, is_graph_map
@@ -181,26 +183,193 @@ def _recolorings(moves: Callable[[Sequence, int], int], a: tuple):
             yield head + (1 << k,) + tail
 
 
+def _mask_dtype(colors: int) -> np.dtype:
+    """The narrowest unsigned integer type with ``colors`` bits; Python ints
+    (``object``) beyond 64 colors."""
+    for dtype in (np.uint8, np.uint16, np.uint32, np.uint64):
+        if colors <= np.iinfo(dtype).bits:
+            return np.dtype(dtype)
+    return np.dtype(object)
+
+
+def _rank_dtype(count: int) -> np.dtype:
+    """The narrowest big-endian unsigned type for ranks below ``count``;
+    big-endian, so that a row's bytes compare as its ranks do."""
+    for size in (1, 2, 4):
+        if count <= 1 << 8 * size:
+            return np.dtype(f">u{size}")
+    return np.dtype(">u8")
+
+
+def _keys(ranks: np.ndarray) -> np.ndarray:
+    """One bytes key per row of ``ranks``; keys order as the rows do
+    lexicographically."""
+    ranks = np.ascontiguousarray(ranks)
+    return ranks.view(np.dtype((np.void, ranks.itemsize * ranks.shape[1]))).ravel()
+
+
+def _hooked_roots(n: int, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
+    """Per node of the graph on ``range(n)`` with edges ``src``-``dst``, the
+    smallest node of its component.
+
+    Each round hooks the larger root of every edge whose ends lie in two
+    trees onto the smaller one, then jumps pointers until every node points
+    at its root.  Nodes only ever point lower, so a root is the smallest
+    node of its tree, and the rounds stop when no edge joins two trees.
+    """
+    root = np.arange(n)
+    while True:
+        a, b = root[src], root[dst]
+        split = a != b
+        if not split.any():
+            return root
+        a, b = a[split], b[split]
+        np.minimum.at(root, np.maximum(a, b), np.minimum(a, b))
+        while True:
+            jumped = root[root]
+            if (jumped == root).all():
+                break
+            root = jumped
+
+
+class _Rows:
+    """A Hom poset's elements as one 2-D array of color masks, one row per
+    element in canonical order, and what is read off it, each built on
+    first use.  Copies of a poset share one, and with it every view.
+
+    Rows are looked up by key: each mask that occurs is ranked in canonical
+    set order (``_mask_key``), and a row's ranks, as big-endian bytes, are
+    its key, so the keys of the rows ascend and ``np.searchsorted`` finds a
+    row's position.
+    """
+
+    def __init__(self, source: Graph, target: Graph, rows: np.ndarray):
+        self.source, self.target, self.rows = source, target, rows
+
+    @cached_property
+    def elements(self) -> tuple:
+        return tuple(map(tuple, self.rows.tolist()))
+
+    @cached_property
+    def index(self) -> dict:
+        return dict(zip(self.elements, range(len(self.rows))))
+
+    @cached_property
+    def atom_rows(self) -> np.ndarray:
+        rows = self.rows
+        return np.flatnonzero(((rows & (rows - 1)) == 0).all(axis=1))
+
+    @cached_property
+    def atoms(self) -> tuple:
+        return tuple(self.atom_rows.tolist())
+
+    @cached_property
+    def rank(self) -> dict:
+        """Mask -> its rank among the masks that occur, in canonical order."""
+        # a stable sort is a radix sort on narrow masks
+        values = np.sort(self.rows, axis=None, kind="stable")
+        first = np.ones(len(values), dtype=bool)
+        first[1:] = values[1:] != values[:-1]
+        canonical = sorted(values[first].tolist(), key=_mask_key)
+        return dict(zip(canonical, range(len(canonical))))
+
+    @cached_property
+    def ranks(self) -> np.ndarray:
+        """``rows`` with each mask replaced by its rank."""
+        values = np.array(sorted(self.rank), dtype=self.rows.dtype)
+        table = np.array([self.rank[m] for m in values.tolist()],
+                         dtype=_rank_dtype(len(values)))
+        out = np.empty(self.rows.shape, dtype=table.dtype)
+        for v in range(out.shape[1]):
+            out[:, v] = table[np.searchsorted(values, self.rows[:, v])]
+        return out
+
+    @cached_property
+    def keys(self) -> np.ndarray:
+        return _keys(self.ranks)
+
+    @cached_property
+    def labels(self) -> tuple:
+        """Per element, the index of the smallest atom of its component."""
+        if not len(self.rows):
+            return ()
+        atoms, rank, ranks, target = self.atom_rows, self.rank, self.ranks, self.target
+        atom_ranks = ranks[atoms]
+        atom_keys = _keys(atom_ranks)
+        masks = self.rows[atoms]
+        ncol = len(target.vertices)
+        bits = np.array([1 << c for c in range(ncol)], dtype=self.rows.dtype)
+        adjm = np.array(_adjacency_masks(target), dtype=self.rows.dtype)
+        # per atom entry its color, and per color the rank of its singleton
+        color = np.array([m.bit_length() - 1 for m in rank])[atom_ranks]
+        single = np.array([rank.get(1 << c, 0) for c in range(ncol)], dtype=ranks.dtype)
+        looped = sum(m & 1 << k for k, m in enumerate(adjm.tolist()))
+        full = (1 << ncol) - 1
+        src, dst = [], []
+        for v, name in enumerate(self.source.vertices):
+            # the 1-cells at v: the move colors of each atom above its color
+            # at v (see ``_moves``), so that each is found once
+            nbrs = self.source.neighbors(name)
+            mv = masks[:, v]
+            move = (looped if name in nbrs else full) & ~((mv << 1) - 1)
+            for u in map(self.source.index, nbrs):
+                move = move & adjm[color[:, u]]
+            at, c = np.nonzero((move[:, None] & bits) != 0)
+            step = atom_ranks[at]
+            step[:, v] = single[c]
+            src.append(at)
+            dst.append(np.searchsorted(atom_keys, _keys(step)))
+        root = _hooked_roots(len(atoms), np.concatenate(src), np.concatenate(dst))
+        # every element's lowest atom: the lowest color of every set
+        lowest = np.array([rank[m & -m] for m in rank], dtype=ranks.dtype)[ranks]
+        labels = atoms[root[np.searchsorted(atom_keys, _keys(lowest))]]
+        # one int object per component, not per element
+        values, which = np.unique(labels, return_inverse=True)
+        return tuple(map(values.tolist().__getitem__, which.tolist()))
+
+
 class HomPoset:
     """All multihomomorphisms from ``source`` to ``target``, pointwise ordered.
 
-    Immutable after construction; components and atoms are cached.  The
-    optional involution is a permutation of element indices of order two;
-    ``induced_involution`` attaches one to a shallow copy, which shares the
-    elements, the index and the cached atoms and components.
+    The elements are one 2-D numpy array of color masks, one row per element
+    in canonical order (``_Rows``); atoms, components and the involution are
+    computed on it.  ``elements`` (bitmask tuples) and ``index`` (tuple ->
+    position) are views built on first use, for the callers that walk
+    tuples.  Immutable after construction.  The optional involution is a
+    permutation of element indices of order two; ``induced_involution``
+    attaches one to a shallow copy, which shares the array and every view
+    built from it.
     """
 
-    def __init__(self, source: Graph, target: Graph, elements: Sequence[tuple],
-                 involution: Optional[tuple] = None, involution_name: str = ""):
-        self.source = source
-        self.target = target
-        self.elements = tuple(elements)
-        self.index = {e: i for i, e in enumerate(self.elements)}
-        self.involution = involution
-        self.involution_name = involution_name
+    def __init__(self, source: Graph, target: Graph, elements):
+        """``elements``: bitmask tuples in any order, kept in canonical
+        order, or a 2-D array of mask rows already in it."""
+        if not isinstance(elements, np.ndarray):
+            canonical = sorted(elements, key=lambda e: tuple(map(_mask_key, e)))
+            elements = np.array(canonical, dtype=_mask_dtype(len(target.vertices)))
+            elements = elements.reshape(len(canonical), len(source.vertices))
+        self.source, self.target = source, target
+        self._rows = _Rows(source, target, elements)
+        self.involution = None
+        self.involution_name = ""
 
     def __len__(self) -> int:
-        return len(self.elements)
+        return len(self._rows.rows)
+
+    @property
+    def elements(self) -> tuple:
+        """The elements as bitmask tuples, in canonical order."""
+        return self._rows.elements
+
+    @property
+    def index(self) -> dict:
+        """Element tuple -> its index."""
+        return self._rows.index
+
+    @property
+    def atoms(self) -> tuple:
+        """Indices of the elements that are graph maps (all sets singletons)."""
+        return self._rows.atoms
 
     def leq(self, i: int, j: int) -> bool:
         a, b = self.elements[i], self.elements[j]
@@ -241,21 +410,18 @@ class HomPoset:
     def _cover_moves(self) -> Callable[[Sequence, int], int]:
         return _moves(self.source, self.target)
 
-    @cached_property
-    def atoms(self) -> tuple:
-        """Indices of the elements that are graph maps (all sets singletons)."""
-        single = _PerMask(lambda m: m & (m - 1) == 0).__getitem__
-        return tuple(compress(count(), map(all, map(map, repeat(single), self.elements))))
+    def _row(self, i: int) -> list:
+        return self._rows.rows[i].tolist()
 
     def element_as_multihom(self, i: int) -> Multihom:
         sets = tuple(
             frozenset(self.target.vertices[b] for b in _mask_key(m))
-            for m in self.elements[i]
+            for m in self._row(i)
         )
         return Multihom(source=self.source, target=self.target, sets=sets)
 
     def atom_as_graph_map(self, i: int) -> GraphMap:
-        e = self.elements[i]
+        e = self._row(i)
         if any(m & (m - 1) for m in e):
             raise InputError(f"element {i} is not an atom")
         assignment = tuple(self.target.vertices[m.bit_length() - 1] for m in e)
@@ -277,39 +443,16 @@ class HomPoset:
         poset of the Hom complex, a regular cell complex whose vertices are
         the atoms, so its components are those of the 1-skeleton.  A 1-cell
         doubles one set of an atom, and each is found once, from the atom
-        whose color at the doubled vertex is the lower one (see ``_moves``).
-        Union-find joins the atoms along the 1-cells, and every element
+        whose color at the doubled vertex is the lower one (see ``_moves``):
+        per source vertex, the move masks of all atom rows at once, each
+        1-cell's other end found by key.  The atoms are joined along the
+        1-cells by hooking roots (``_hooked_roots``), and every element
         takes the label of its lowest atom (the lowest color of every set),
-        which lies below it and comes first in canonical order, so the
-        smallest element of a component is an atom.
+        found by key; that atom lies below it and comes first in canonical
+        order, so the smallest element of a component is an atom.  Computed
+        once per array, and shared by its copies.
         """
-        elements, index, moves = self.elements, self.index, self._cover_moves
-        parent = {i: i for i in self.atoms}
-
-        def find(x: int) -> int:
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        for i in parent:
-            a = elements[i]
-            for v, m in enumerate(a):
-                above = moves(a, v) & -(m << 1)
-                if not above:
-                    continue
-                head, tail = a[:v], a[v + 1:]
-                while above:
-                    c = above & -above
-                    above ^= c
-                    # keep the smaller root: a root is its set's minimum
-                    ri, rj = find(i), find(index[head + (c,) + tail])
-                    if ri != rj:
-                        parent[max(ri, rj)] = min(ri, rj)
-        root = {elements[i]: find(i) for i in parent}
-        lowest = _PerMask(lambda m: m & -m).__getitem__
-        return tuple(map(root.__getitem__,
-                         map(tuple, map(map, repeat(lowest), elements))))
+        return self._rows.labels
 
     def components(self) -> list:
         """Partition of element indices by connected component, deterministic order."""
@@ -365,61 +508,88 @@ def enumerate_hom(source: Graph, target: Graph,
                   max_elements: Optional[int] = None) -> HomPoset:
     """Enumerate all multihomomorphisms source -> target, in canonical order.
 
-    Depth-first over the source vertices.  Vertex ``i`` takes subsets of
-    ``allowed(i)``, the colors adjacent to every color of every earlier
-    neighbor's set; its candidates come from a walk over those subsets (see
-    ``_candidate_sets``), cached per ``allowed`` and vertex kind.  Candidates
-    arrive in canonical order, so the elements do too, and the cost follows
-    the candidates rather than the 2^|V(target)| color sets.  Raises
-    ResourceLimitError beyond the element cap.
+    Level-wise over the source vertices, on one array of color masks (the
+    narrowest unsigned type with |V(target)| bits, Python ints beyond 64).
+    Vertex ``i`` takes subsets of ``allowed(i)``, the colors adjacent to
+    every color of every earlier neighbor's set; each distinct ``allowed``
+    of the rows gets its candidates from a walk over those subsets (see
+    ``_candidate_sets``), cached per ``allowed`` and vertex kind, and every
+    row is repeated once per candidate.  Candidates arrive in canonical
+    order, so the rows stay in it, and the cost follows the candidates
+    rather than the 2^|V(target)| color sets.  A vertex's common sets are
+    kept only until the last later neighbor has read them.  A level of more
+    rows than the element cap, which later vertices may still thin out, is
+    extended in halves, depth first, so no level holds much more than the
+    cap.  Raises ResourceLimitError when the last level would take the
+    element count past the cap, before it is allocated.
     """
     if not source.vertices:
         raise InputError("enumerate_hom requires a nonempty source vertex set")
     cap = default_max_elements() if max_elements is None else max_elements
     adjm = _adjacency_masks(target)
     full = (1 << len(adjm)) - 1
+    dtype = _mask_dtype(len(adjm))
 
     ns = len(source.vertices)
     earlier = [
         [source.index(u) for u in source.neighbors(v) if source.index(u) < i]
         for i, v in enumerate(source.vertices)
     ]
+    last_read = {j: i for i in range(ns) for j in earlier[i]}
     kind = [(bool(source.neighbors(v)), v in source.neighbors(v))
             for v in source.vertices]
     cache = {}
 
-    def candidates(i: int) -> list:
-        allowed = full
-        for j in earlier[i]:
-            allowed &= commons[j]
+    def candidates(allowed: int, i: int) -> list:
         key = (allowed, kind[i])
         hit = cache.get(key)
         if hit is None:
             hit = cache[key] = _candidate_sets(allowed, *kind[i], adjm)
         return hit
 
-    elements = []
-    masks = [0] * ns
-    commons = [0] * ns
-    last = ns - 1
-
-    def extend(i: int) -> None:
-        if i == last:
-            found = candidates(i)
-            if found and len(elements) + len(found) > cap:
-                raise ResourceLimitError(
-                    f"Hom poset exceeds the cap of {cap} elements"
-                )
-            head = tuple(masks[:last])
-            elements.extend([head + (m,) for m, _ in found])
-            return
-        for m, c in candidates(i):
-            masks[i] = m
-            commons[i] = c
-            extend(i + 1)
-
-    extend(0)
-    return HomPoset(source, target, elements)
+    # a stack of (rows, the common sets later vertices read, next vertex)
+    stack = [(np.zeros((1, ns), dtype=dtype), {}, 0)]
+    blocks, made = [], 0
+    while stack:
+        rows, commons, i = stack.pop()
+        allowed = np.full(len(rows), full, dtype=dtype)
+        for j in earlier[i]:
+            allowed &= commons[j]
+        values, which = np.unique(allowed, return_inverse=True)
+        found = [candidates(a, i) for a in values.tolist()]
+        del allowed
+        sizes = np.fromiter(map(len, found), dtype=np.intp, count=len(found))
+        counts = sizes[which]
+        total = int(counts.sum())
+        if i < ns - 1 and total > cap and len(rows) > 1:
+            # a level past the cap may still die out: extend it in halves,
+            # depth first, the first half on top
+            half = len(rows) // 2
+            for part in (slice(half, None), slice(half)):
+                stack.append((rows[part], {j: c[part] for j, c in commons.items()}, i))
+            continue
+        if i == ns - 1 and made + total > cap:
+            raise ResourceLimitError(f"Hom poset exceeds the cap of {cap} elements")
+        # new row t extends old row r with candidate t - first[r] of r's list
+        starts = np.cumsum(sizes) - sizes
+        pick = np.repeat(starts[which] - (np.cumsum(counts) - counts), counts)
+        pick += np.arange(total)
+        del which
+        rows = np.repeat(rows, counts, axis=0)
+        rows[:, i] = np.array([m for f in found for m, _ in f], dtype=dtype)[pick]
+        commons = {j: np.repeat(c, counts) for j, c in commons.items()
+                   if last_read[j] > i}
+        if i in last_read:
+            commons[i] = np.array([c for f in found for _, c in f], dtype=dtype)[pick]
+        del pick, counts
+        if i < ns - 1:
+            stack.append((rows, commons, i + 1))
+        else:
+            blocks.append(rows)
+            made += total
+        del rows, commons
+    rows = np.concatenate(blocks or [np.zeros((0, ns), dtype=dtype)])
+    return HomPoset(source, target, rows)
 
 
 def _precompose(pos: list) -> Callable[[tuple], tuple]:
@@ -434,11 +604,14 @@ def induced_involution(z: Z2Graph, poset: HomPoset,
                        name: str = "") -> HomPoset:
     """Attach the involution eta -> eta o gamma to Hom(T, G).
 
-    Returns a shallow copy of ``poset`` carrying the involution; it shares
-    the index and the cached atoms and components, which the involution
-    does not change.  Requires a loopless target and a flipping involution,
-    which together make the action fixed-point-free; a fixed element raises
-    InvariantError.
+    Every row is mapped through the column permutation of gamma and looked
+    up by key, so the involution is a tuple of element indices.  Returns a
+    shallow copy of ``poset`` carrying it; the copy shares the array and
+    every view built from it (tuples, index, atoms, components), which the
+    involution does not change.  Requires a loopless target and a flipping
+    involution, which together make the action fixed-point-free; an image
+    that is not an element, or a fixed element, raises InvariantError, and
+    every element is checked.
     """
     if poset.source != z.graph:
         raise InputError("involution belongs to a different graph than the Hom source")
@@ -446,15 +619,17 @@ def induced_involution(z: Z2Graph, poset: HomPoset,
         raise InputError("induced involution requires a loopless target graph")
     if not z.is_flipping:
         raise InputError("induced involution requires a flipping involution")
-    image = _precompose([z.graph.index(z.involution(v)) for v in z.graph.vertices])
-    perm = tuple(map(poset.index.get, map(image, poset.elements)))
-    for i, j in enumerate(perm):
-        if j is None:
+    rows = poset._rows
+    image = rows.ranks[:, [z.graph.index(z.involution(v)) for v in z.graph.vertices]]
+    perm = np.searchsorted(rows.keys, _keys(image))
+    missing = (rows.ranks[np.minimum(perm, len(perm) - 1)] != image).any(axis=1)
+    bad = np.flatnonzero(missing | (perm == np.arange(len(perm))))
+    if len(bad):
+        if missing[bad[0]]:
             raise InvariantError("involution image is not a poset element")
-        if j == i:
-            raise InvariantError(f"induced involution fixes element {i}")
+        raise InvariantError(f"induced involution fixes element {bad[0]}")
     out = copy.copy(poset)
-    out.involution, out.involution_name = perm, name
+    out.involution, out.involution_name = tuple(perm.tolist()), name
     return out
 
 

@@ -163,6 +163,22 @@ def atom_components():
     return atom_move_components
 
 
+def dict_route_involution(z, poset):
+    """Oracle for ``induced_involution``: each element tuple precomposed
+    with the involution and looked up in ``poset.index`` (None for an image
+    that is not an element)."""
+    pos = [z.graph.index(z.involution(v)) for v in z.graph.vertices]
+
+    def image(e):
+        return tuple(e[p] for p in pos)
+    return tuple(map(poset.index.get, map(image, poset.elements)))
+
+
+@pytest.fixture(scope="session")
+def dict_involution():
+    return dict_route_involution
+
+
 @pytest.fixture(scope="session")
 def small_graphs():
     """Hypothesis strategy for graphs on at most four vertices."""

@@ -48,6 +48,15 @@ class TestCheckSwt:
         r = check_swt_bound(paper_gamma2(), K3, method="component", poset=p)
         assert r.status == "violated"
 
+    def test_component_route_builds_no_tuples(self, K4):
+        """The component route runs on the mask array: neither the element
+        tuples nor their index are ever built."""
+        z = cycle_reflection(7)
+        p = induced_involution(z, enumerate_hom(z.graph, K4))
+        r = check_swt_bound(z, K4, method="component", poset=p)
+        assert (r.status, r.invariant_value) == ("inconclusive", 1)
+        assert not {"elements", "index"} & set(vars(p._rows))
+
     def test_non_flipping_rejected(self, K3):
         from homlab import Graph, Z2Graph
         path = Graph.build([1, 2, 3], [(1, 2), (2, 3)])

@@ -94,6 +94,21 @@ class TestCliBasics:
         code, out, _ = run(capsys, "maps", "K3", "K2", "--count")
         assert code == 1 and out.strip() == "0"
 
+    def test_hom_builds_no_tuples(self, capsys, monkeypatch):
+        """Without --components or --export, ``hom`` counts elements and
+        atoms on the mask array and never builds the tuples or their index."""
+        made = []
+        enumerate_hom = hom.enumerate_hom
+
+        def recorded(*args, **kwargs):
+            made.append(enumerate_hom(*args, **kwargs))
+            return made[-1]
+        monkeypatch.setattr(hom, "enumerate_hom", recorded)
+        code, out, _ = run(capsys, "hom", "K2", "K5", "--json")
+        assert code == 0 and json.loads(out) == {"size": 180, "atoms": 20}
+        assert len(made) == 1
+        assert not {"elements", "index"} & set(vars(made[0]._rows))
+
     def test_hom_components(self, capsys):
         code, out, _ = run(capsys, "--json", "hom", "paper_T", "K3",
                            "--components")

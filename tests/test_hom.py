@@ -1,14 +1,17 @@
 import itertools
 from collections import deque
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from homlab import (Graph, GraphMap, InputError, InvariantError, PathCertificate,
-                    ResourceLimitError, complete, complete_flip, cycle,
+from homlab import (Graph, GraphMap, HomPoset, InputError, InvariantError,
+                    PathCertificate, ResourceLimitError, complete, complete_flip,
+                    cycle, cycle_reflection,
                     enumerate_graph_maps, enumerate_hom, find_path,
                     induced_involution, induced_map, is_graph_map, is_multihom,
                     paper_f, paper_gamma1, paper_gamma2, verify_certificate)
+from homlab import hom as hom_module
 from homlab.serialize import bundled_fig3_certificate
 
 
@@ -160,14 +163,49 @@ class TestEnumerateHom:
                 enumerate_hom(source, target, max_elements=n - 1)
 
     def test_cost_follows_output_not_color_sets(self, K2):
-        # 60 ordered edges, and per vertex v of C30 the two elements pairing
-        # {v} with both neighbours of v; a scan of all 2^30 color sets per
-        # search node would not finish
-        poset = enumerate_hom(K2, cycle(30))
-        assert len(poset) == 120 and len(poset.atoms) == 60
-        atoms = set(poset.atoms)
-        assert all(sorted(bin(m).count("1") for m in e) == [1, 2]
-                   for i, e in enumerate(poset.elements) if i not in atoms)
+        # 2n ordered edges, and per vertex v of Cn the two elements pairing
+        # {v} with both neighbours of v; a scan of all 2^n color sets per
+        # search node would not finish.  C70 needs masks beyond 64 bits.
+        for n in (30, 70):
+            poset = enumerate_hom(K2, cycle(n))
+            assert len(poset) == 4 * n and len(poset.atoms) == 2 * n
+            atoms = set(poset.atoms)
+            assert all(sorted(bin(m).count("1") for m in e) == [1, 2]
+                       for i, e in enumerate(poset.elements) if i not in atoms)
+
+    @pytest.mark.parametrize("n, dtype", [
+        (8, "uint8"), (9, "uint16"), (64, "uint64"), (65, "object"), (70, "object"),
+    ])
+    def test_mask_dtype_boundaries(self, K2, n, dtype, atom_components):
+        """Masks take the narrowest unsigned type with n bits, Python ints
+        beyond 64, and the answers do not depend on it: an even cycle splits
+        the atoms by the parity of their colors, an odd one does not."""
+        poset = enumerate_hom(K2, cycle(n))
+        assert str(poset._rows.rows.dtype) == dtype
+        assert len(poset) == 4 * n and len(poset.atoms) == 2 * n
+        assert poset.elements[0] == (1, 2) and poset.elements[-1] == (1 << n - 1, 1 << n - 2)
+        assert len(poset.components()) == 2 - n % 2
+        assert poset.component_labels == atom_components(poset)
+
+    def test_levels_past_the_cap_are_split(self):
+        """Paths into C4 are many, but no odd cycle maps to it: levels past
+        the cap are extended in halves, so memory follows the cap, and the
+        exact cap still holds when every level is split."""
+        import tracemalloc
+        tracemalloc.start()
+        try:
+            poset = enumerate_hom(cycle(13), cycle(4), max_elements=1000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(poset) == 0
+        assert peak < 5 * 2**20  # about 48 MB without the split
+        # 980 multihoms of the path, 14 of the closed C7 into C7
+        full = enumerate_hom(cycle(7), cycle(7))
+        assert len(full) == 14
+        assert enumerate_hom(cycle(7), cycle(7), max_elements=14).elements == full.elements
+        with pytest.raises(ResourceLimitError):
+            enumerate_hom(cycle(7), cycle(7), max_elements=13)
 
     def test_looped_source_constant_maps(self):
         from homlab import Graph
@@ -212,13 +250,34 @@ class TestComponents:
     @given(st.data())
     def test_one_skeleton_matches_oracles(self, small_graphs, atom_components, data):
         """Loops and isolated vertices on both sides; the comparability BFS
-        runs on the posets small enough for its all-pairs scan."""
+        runs on the posets small enough for its all-pairs scan.  The atoms
+        are the elements whose sets are all singletons."""
         source = data.draw(small_graphs(1, loops=True))
         target = data.draw(small_graphs(0, loops=True))
         poset = enumerate_hom(source, target)
+        assert poset.atoms == tuple(i for i, e in enumerate(poset.elements)
+                                    if all(bin(m).count("1") == 1 for m in e))
         assert poset.component_labels == atom_components(poset)
         if len(poset) <= 400:
             assert poset.component_labels == brute_components(poset)
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(st.integers(1, 60).flatmap(lambda n: st.tuples(
+        st.just(n), st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))))))
+    def test_hooked_roots_are_component_minima(self, graph):
+        n, edges = graph
+        src = np.array([a for a, _ in edges], dtype=np.intp)
+        dst = np.array([b for _, b in edges], dtype=np.intp)
+        low = list(range(n))  # relax to the smallest reachable node
+        changed = True
+        while changed:
+            changed = False
+            for a, b in edges:
+                m = min(low[a], low[b])
+                if low[a] != m or low[b] != m:
+                    low[a] = low[b] = m
+                    changed = True
+        assert hom_module._hooked_roots(n, src, dst).tolist() == low
 
     def test_looped_vertex_needs_an_adjacent_color(self):
         # the atoms {0} and {2} are maps from a loop, but {0, 2} is not:
@@ -228,30 +287,20 @@ class TestComponents:
         poset = enumerate_hom(loop, target)
         assert poset.component_labels == brute_components(poset) == (0, 0, 0, 3)
 
-    def test_k2_c200_probes_only_valid_colors(self, K2, atom_components):
+    def test_k2_c200_finds_each_one_cell_once(self, K2, atom_components, monkeypatch):
         """Two components, the atoms (x, x +- 1) with x even and with x odd;
-        each atom probes only the colors above it adjacent to its other
-        color, not all 200."""
+        each atom finds only the 1-cells to the colors above it adjacent to
+        its other color, not all 200, and each 1-cell once."""
         c200 = cycle(200)
         poset = enumerate_hom(K2, c200)
-        probes = [0]
+        joined = []
 
-        class CountingIndex(dict):
-            def get(self, key, default=None):
-                probes[0] += 1
-                return super().get(key, default)
-
-            def __contains__(self, key):
-                probes[0] += 1
-                return super().__contains__(key)
-
-            def __getitem__(self, key):
-                probes[0] += 1
-                return super().__getitem__(key)
-
-        poset.index = CountingIndex(poset.index)
+        def counted(n, src, dst):
+            joined.extend(zip(src.tolist(), dst.tolist()))
+            return hooked_roots(n, src, dst)
+        hooked_roots = hom_module._hooked_roots
+        monkeypatch.setattr(hom_module, "_hooked_roots", counted)
         labels = poset.component_labels
-        probed = probes[0]
         assert sorted(set(labels)) == [0, 5]
         assert labels == brute_components(poset) == atom_components(poset)
         valid = 0
@@ -259,7 +308,12 @@ class TestComponents:
             x, y = (c200.vertices[m.bit_length() - 1] for m in poset.elements[i])
             valid += sum(c > x for c in c200.neighbors(y))
             valid += sum(c > y for c in c200.neighbors(x))
-        assert probed == valid == 400
+        assert len(joined) == len(set(joined)) == valid == 400
+        # each joins two atoms one recoloring apart
+        atoms = poset.atoms
+        for a, b in joined:
+            e, f = poset.elements[atoms[a]], poset.elements[atoms[b]]
+            assert sum(x != y for x, y in zip(e, f)) == 1
 
     def test_same_component_accepts_graph_maps(self, hom_T_k3):
         f = paper_f()
@@ -327,6 +381,26 @@ class TestInducedInvolution:
     def test_wrong_source_rejected(self, hom_k2_k3):
         with pytest.raises(InputError):
             induced_involution(paper_gamma1(), hom_k2_k3)
+
+    @pytest.mark.parametrize("z, m", [
+        (complete_flip(2), 3), (complete_flip(2), 4), (cycle_reflection(5), 3),
+        (cycle_reflection(5), 4), (paper_gamma1(), 3), (paper_gamma2(), 3),
+    ])
+    def test_matches_dict_route(self, z, m, dict_involution, atom_components):
+        poset = enumerate_hom(z.graph, complete(m))
+        oracle = dict_involution(z, poset)
+        q = induced_involution(z, poset)
+        assert q.involution == oracle
+        labels = atom_components(poset)
+        assert q.invariant_components() == sorted(
+            {labels[i] for i in poset.atoms if labels[oracle[i]] == labels[i]})
+
+    def test_every_image_is_checked(self, K2, K3, hom_k2_k3):
+        # without its last element the poset lacks the image of that
+        # element's partner
+        partial = HomPoset(K2, K3, hom_k2_k3.elements[:-1])
+        with pytest.raises(InvariantError, match="not a poset element"):
+            induced_involution(complete_flip(2), partial)
 
     def test_shares_the_index_and_cached_components(self, hom_T_k3):
         labels = hom_T_k3.component_labels
