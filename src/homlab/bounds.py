@@ -201,7 +201,7 @@ def theorem2_pipeline(certificate: Optional[PathCertificate] = None) -> Pipeline
         "same_component", True,
         f"f and f∘gamma2 share a component of the {len(poset)}-element Hom(T,K3)"))
 
-    p2 = induced_involution(g2, poset, name="gamma2")
+    p2 = induced_involution(g2, poset)
     report = check_swt_bound(g2, complete(3), method="component", poset=p2,
                              names=("paper_T", "gamma2", "K3"))
     s3 = report.status == "violated"
@@ -224,7 +224,7 @@ def theorem2_pipeline(certificate: Optional[PathCertificate] = None) -> Pipeline
     if not s4:
         return PipelineReport("theorem2", tuple(stages), False)
 
-    p1 = induced_involution(g1, poset, name="gamma1")
+    p1 = induced_involution(g1, poset)
     invariant = p1.invariant_components()
     s5 = not invariant
     stages.append(StageResult(
@@ -254,7 +254,7 @@ def theorem1_pipeline(t: Graph, suite: Optional[Sequence[Graph]] = None) -> Pipe
         r_star = induced_map(witness.retraction, q)  # Hom(edge,G) -> Hom(T,G)
         big = HomPoset(t, g, set(r_star))
         i_images = induced_map(witness.inclusion, big)
-        composed = [i_images[big.index[e]] for e in r_star]
+        composed = [i_images[j] for j in induced_map(witness.retraction, q, codomain=big)]
         ok = composed == list(q.elements)
         stages.append(StageResult(
             f"retract_identity[{graph_signature(g)}]", ok,

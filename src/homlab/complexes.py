@@ -262,18 +262,21 @@ def _cleared_rank(rows: list, cleared: bytearray, below: int) -> tuple:
 
 def order_complex(poset, max_chains: Optional[int] = None) -> CellComplex:
     """Order complex of a poset on 0..n-1, n = ``len(poset)``, whose
-    ascending up-sets ``poset.above(i)`` lists (a Hom poset walks them over
-    upper covers).
+    ascending up-sets ``poset.above(i)`` lists (a Hom poset reads them off
+    the upper covers of its cell relation).
 
     Simplices are the chains, ordered ascending; raises ResourceLimitError
-    beyond the chain cap.  ``above(i)`` is asked on the first chain that
-    ends at ``i``, so the cap bounds the up-set work too.  The depth-first
-    walk meets the chains of each length in lexicographic order and records
-    each one's parent (the chain without its last element) and last
-    element, from which the face tables are read off.
+    beyond the chain cap, at once when the elements alone, each a chain,
+    exceed it.  ``above(i)`` is asked on the first chain that ends at ``i``,
+    so the cap bounds the up-set work too.  The depth-first walk meets the
+    chains of each length in lexicographic order and records each one's
+    parent (the chain without its last element) and last element, from
+    which the face tables are read off.
     """
     cap = default_max_elements() if max_chains is None else max_chains
     n = len(poset)
+    if n > cap:
+        raise ResourceLimitError(f"order complex exceeds the cap of {cap} chains")
     greater = [None] * n
     levels, parents, lasts = [], [], []
     count = 0
@@ -321,49 +324,34 @@ def hom_complex(poset: HomPoset, max_cells: Optional[int] = None) -> CellComplex
     at least 2.  Its top pairs are, for each such set ``eta(v)``, the face
     ``eta - top_v`` dropping the largest color of ``eta(v)`` and the 1-cell
     from ``max(eta - top_v)`` to ``max eta``, where ``max`` takes the
-    largest color of every set.  Raises ResourceLimitError beyond the cell
-    cap.
+    largest color of every set.  The poset reads these off its elements
+    (``HomPoset.cell_relation``); here they are grouped by dimension.
+    Raises ResourceLimitError beyond the cell cap.
     """
     cap = default_max_elements() if max_cells is None else max_cells
     if len(poset) > cap:
         raise ResourceLimitError(f"Hom complex exceeds the cap of {cap} cells")
-    index = poset.index
-    dims = [sum(m.bit_count() for m in e) - len(e) for e in poset.elements]
-    cells = [[] for _ in range(max(dims, default=-1) + 1)]
-    pos = []
-    for i, d in enumerate(dims):
-        pos.append(len(cells[d]))
-        cells[d].append(i)
-    # per dimension: the position of the cell owning each entry, and the entry
-    face_rows = [([], []) for _ in cells]
-    top_rows = [([], []) for _ in cells]
-    for e, d, p in zip(poset.elements, dims, pos):
-        peak = tuple(1 << (m.bit_length() - 1) for m in e)
-        (face_owner, face), (top_owner, top) = face_rows[d], top_rows[d]
-        for v, m in enumerate(e):
-            if m == peak[v]:
-                continue
-            head, tail = e[:v], e[v + 1:]
-            rest = m
-            while rest:
-                bit = rest & -rest
-                rest ^= bit
-                face_owner.append(p)
-                face.append(pos[index[head + (m ^ bit,) + tail]])
-            # the last face found dropped the largest color, peak[v]
-            second = 1 << ((m ^ peak[v]).bit_length() - 1)
-            edge = index[peak[:v] + (peak[v] | second,) + peak[v + 1:]]
-            top_owner.append(p)
-            top.append((face[-1], pos[edge]))
+    dims, face_owner, faces, top_owner, tops = poset.cell_relation()
+    # narrow, so that the stable sorts by dimension are radix sorts
+    dims = dims.astype(np.min_scalar_type(dims.max(initial=0)))
+    # the cells of each dimension in element order, and the position of
+    # every element among the cells of its dimension
+    sizes = np.bincount(dims)
+    order = np.argsort(dims, kind="stable")
+    pos = np.empty(len(dims), dtype=np.intp)
+    pos[order] = np.arange(len(dims)) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+    cells = np.split(order, np.cumsum(sizes)[:-1])
 
-    return CellComplex(
-        cells,
-        [Table.from_owners(np.array(owner, dtype=np.intp),
-                           np.array(face, dtype=np.intp), len(level))
-         for (owner, face), level in zip(face_rows, cells)],
-        [Table.from_owners(np.array(owner, dtype=np.intp),
-                           np.array(top, dtype=np.intp).reshape(-1, 2), len(level))
-         for (owner, top), level in zip(top_rows, cells)])
+    def by_dimension(owner: np.ndarray, entries: np.ndarray) -> list:
+        dim = dims[owner]
+        by_dim = np.argsort(dim, kind="stable")
+        split = np.cumsum(np.bincount(dim, minlength=len(cells)))[:-1]
+        return [Table.from_owners(o, e, len(level)) for o, e, level in
+                zip(np.split(pos[owner[by_dim]], split),
+                    np.split(pos[entries[by_dim]], split), cells)]
+
+    return CellComplex([level.tolist() for level in cells],
+                       by_dimension(face_owner, faces), by_dimension(top_owner, tops))
 
 
 # ---------------------------------------------------------------------------

@@ -15,12 +15,11 @@ import os
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
-from operator import itemgetter
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .errors import FreenessError, InputError, InvariantError, ResourceLimitError
+from .errors import InputError, InvariantError, ResourceLimitError
 from .graphs import Graph, GraphMap, Z2Graph, is_graph_map
 
 __all__ = [
@@ -116,19 +115,6 @@ def _atom(target: Graph, row: tuple) -> tuple:
     return tuple(1 << target.index(w) for w in row)
 
 
-class _PerMask(dict):
-    """``fn`` of a color mask, computed once per mask; ``__getitem__``
-    serves it to ``map`` without a Python call on a hit."""
-
-    def __init__(self, fn: Callable[[int], object]):
-        super().__init__()
-        self.fn = fn
-
-    def __missing__(self, mask: int):
-        self[mask] = value = self.fn(mask)
-        return value
-
-
 def _adjacency_masks(target: Graph) -> list:
     """Per target vertex, the bitmask of its neighbors (itself if looped)."""
     adjm = [0] * len(target.vertices)
@@ -139,37 +125,24 @@ def _adjacency_masks(target: Graph) -> list:
 
 
 def _moves(source: Graph, target: Graph) -> Callable[[Sequence, int], int]:
-    """``moves(e, v)``: the mask of the colors ``c`` outside ``e[v]`` for
-    which ``e`` with ``e[v] | c`` at ``v`` is again a multihom, for a
-    multihom ``e``; these are exactly the upper covers of ``e`` at ``v``.
-    On an atom each is a 1-cell of the Hom complex from ``e`` to ``e``
-    recolored at ``v``.  They are the colors adjacent to every color of
-    every neighbor of ``v`` (``v`` itself included when it has a loop) and,
-    when ``v`` has a loop, looped.  A vertex of a partial coloring left at
-    0 constrains nothing."""
+    """``moves(a, v)``: the mask of the colors ``c`` other than ``a[v]``
+    for which ``a`` with ``a[v] | c`` at ``v`` is a multihom, for an atom or
+    a partial coloring ``a`` (a singleton mask per vertex, 0 where uncolored).
+    On an atom each is a 1-cell of the Hom complex from ``a`` to ``a``
+    recolored at ``v``.  They are the colors adjacent to the color of every
+    neighbor of ``v`` (``v`` itself included when it has a loop) and, when
+    ``v`` has a loop, looped.  An uncolored vertex constrains nothing."""
     adjm = _adjacency_masks(target)
     full = (1 << len(adjm)) - 1
-
-    def common(mask: int) -> int:
-        out = full
-        while mask:
-            bit = mask & -mask
-            mask ^= bit
-            out &= adjm[bit.bit_length() - 1]
-        return out
-
-    # pre-seeded, so that atoms and partial colorings only ever hit the dict
-    adj = _PerMask(common)
-    adj[0] = full
-    adj.update(zip((1 << k for k in range(len(adjm))), adjm))
+    adj = {0: full, **{1 << k: m for k, m in enumerate(adjm)}}
     looped = sum(m & 1 << k for k, m in enumerate(adjm))
     keep = [looped if v in source.neighbors(v) else full for v in source.vertices]
     nbrs = [tuple(map(source.index, source.neighbors(v))) for v in source.vertices]
 
-    def moves(e: Sequence, v: int) -> int:
-        m = keep[v] & ~e[v]
+    def moves(a: Sequence, v: int) -> int:
+        m = keep[v] & ~a[v]
         for u in nbrs[v]:
-            m &= adj[e[u]]
+            m &= adj[a[u]]
         return m
 
     return moves
@@ -240,7 +213,7 @@ class _Rows:
     Rows are looked up by key: each mask that occurs is ranked in canonical
     set order (``_mask_key``), and a row's ranks, as big-endian bytes, are
     its key, so the keys of the rows ascend and ``np.searchsorted`` finds a
-    row's position.
+    row's position (``find``).
     """
 
     def __init__(self, source: Graph, target: Graph, rows: np.ndarray):
@@ -249,10 +222,6 @@ class _Rows:
     @cached_property
     def elements(self) -> tuple:
         return tuple(map(tuple, self.rows.tolist()))
-
-    @cached_property
-    def index(self) -> dict:
-        return dict(zip(self.elements, range(len(self.rows))))
 
     @cached_property
     def atom_rows(self) -> np.ndarray:
@@ -288,41 +257,91 @@ class _Rows:
     def keys(self) -> np.ndarray:
         return _keys(self.ranks)
 
+    def find(self, ranks: np.ndarray) -> np.ndarray:
+        """Per row of ranks (of the type of ``ranks``), the position of the
+        element with them, or -1."""
+        keys, wanted = self.keys, _keys(ranks)
+        if not len(keys):
+            return np.full(len(wanted), -1, dtype=np.intp)
+        at = np.minimum(np.searchsorted(keys, wanted), len(keys) - 1)
+        return np.where(keys[at] == wanted, at, -1)
+
+    def find_masks(self, masks: np.ndarray) -> np.ndarray:
+        """Per row of color masks, the position of the element, or -1."""
+        rank, rows = self.rank, masks.tolist()
+        known = [all(m in rank for m in row) for row in rows]
+        ranks = np.array([[rank.get(m, 0) for m in row] for row in rows],
+                         dtype=self.ranks.dtype).reshape(masks.shape)
+        return np.where(known, self.find(ranks), -1)
+
+    @cached_property
+    def by_rank(self) -> tuple:
+        """Per mask, by rank: its number of faces (its size, 0 for a
+        singleton), where they start among the ranks of all the faces (one
+        color dropped, by color), those ranks, and the ranks of its largest
+        color and of its two largest colors."""
+        rank = self.rank
+        colors = [_mask_key(m) for m in rank]
+        dtype = _rank_dtype(len(rank))
+        count = np.array([len(c) if len(c) > 1 else 0 for c in colors],
+                         dtype=np.min_scalar_type(len(self.target.vertices)))
+        faces = [rank[m ^ 1 << c] for m, cs in zip(rank, colors) if len(cs) > 1 for c in cs]
+        peak = [rank[1 << cs[-1]] for cs in colors]
+        pair = [rank[1 << cs[-1] | 1 << cs[-2]] if len(cs) > 1 else 0 for cs in colors]
+        return (count, np.cumsum(count, dtype=np.intp) - count,
+                *(np.array(a, dtype=dtype) for a in (faces, peak, pair)))
+
+    def cell_relation(self) -> tuple:
+        """See ``HomPoset.cell_relation``."""
+        count, first, drops, peak, pair = self.by_rank
+        ranks, flat = self.ranks, self.ranks.ravel()
+        n, ns = ranks.shape
+        # the faces per element and vertex (flat position element * ns +
+        # vertex), then by color
+        count = count[flat]
+        ends = np.cumsum(count, dtype=np.intp)
+        owner, vertex = np.divmod(np.repeat(np.arange(n * ns), count), ns)
+        step = ranks[owner]
+        step[np.arange(len(owner)), vertex] = drops[
+            np.repeat(first[flat] - ends + count, count) + np.arange(len(owner))]
+        faces = self.find(step)
+        del step, vertex
+        # per set of two colors or more: its last face drops its largest color
+        sets = np.flatnonzero(count)
+        edge = peak[ranks[sets // ns]]
+        edge[np.arange(len(sets)), sets % ns] = pair[flat[sets]]
+        tops = np.stack([faces[ends[sets] - 1], self.find(edge)], axis=1)
+        if (faces < 0).any() or (tops < 0).any():
+            raise InvariantError("a face of a Hom cell is not a poset element")
+        dims = np.bincount(owner, minlength=n) - np.bincount(sets // ns, minlength=n)
+        return dims, owner, faces, sets // ns, tops
+
+    @cached_property
+    def covers(self) -> list:
+        """Per element, its upper covers, ascending: the elements that have
+        it as a face."""
+        _, owner, faces, _, _ = self.cell_relation()
+        owner = owner[np.argsort(faces, kind="stable")].tolist()
+        ends = np.cumsum(np.bincount(faces, minlength=len(self.rows))).tolist()
+        return [owner[a:b] for a, b in zip([0] + ends, ends)]
+
     @cached_property
     def labels(self) -> tuple:
         """Per element, the index of the smallest atom of its component."""
         if not len(self.rows):
             return ()
-        atoms, rank, ranks, target = self.atom_rows, self.rank, self.ranks, self.target
-        atom_ranks = ranks[atoms]
-        atom_keys = _keys(atom_ranks)
-        masks = self.rows[atoms]
-        ncol = len(target.vertices)
-        bits = np.array([1 << c for c in range(ncol)], dtype=self.rows.dtype)
-        adjm = np.array(_adjacency_masks(target), dtype=self.rows.dtype)
-        # per atom entry its color, and per color the rank of its singleton
-        color = np.array([m.bit_length() - 1 for m in rank])[atom_ranks]
-        single = np.array([rank.get(1 << c, 0) for c in range(ncol)], dtype=ranks.dtype)
-        looped = sum(m & 1 << k for k, m in enumerate(adjm.tolist()))
-        full = (1 << ncol) - 1
-        src, dst = [], []
-        for v, name in enumerate(self.source.vertices):
-            # the 1-cells at v: the move colors of each atom above its color
-            # at v (see ``_moves``), so that each is found once
-            nbrs = self.source.neighbors(name)
-            mv = masks[:, v]
-            move = (looped if name in nbrs else full) & ~((mv << 1) - 1)
-            for u in map(self.source.index, nbrs):
-                move = move & adjm[color[:, u]]
-            at, c = np.nonzero((move[:, None] & bits) != 0)
-            step = atom_ranks[at]
-            step[:, v] = single[c]
-            src.append(at)
-            dst.append(np.searchsorted(atom_keys, _keys(step)))
-        root = _hooked_roots(len(atoms), np.concatenate(src), np.concatenate(dst))
-        # every element's lowest atom: the lowest color of every set
-        lowest = np.array([rank[m & -m] for m in rank], dtype=ranks.dtype)[ranks]
-        labels = atoms[root[np.searchsorted(atom_keys, _keys(lowest))]]
+        atoms, rank, ranks = self.atom_rows, self.rank, self.ranks
+        count, _, _, peak, _ = self.by_rank
+        # every element's lowest atom (the lowest color of every set), and
+        # the highest atom of each 1-cell (one set of two colors, the others
+        # singletons): the two atoms it joins
+        lowest = self.find(np.array([rank[m & -m] for m in rank], dtype=ranks.dtype)[ranks])
+        ones = np.flatnonzero(count[ranks].sum(axis=1, dtype=np.intp) == 2)
+        highest = self.find(peak[ranks[ones]])
+        number = np.empty(len(ranks), dtype=np.intp)
+        number[atoms] = np.arange(len(atoms))
+        root = _hooked_roots(len(atoms), number[lowest[ones]], number[highest])
+        labels = atoms[root[number[lowest]]]
         # one int object per component, not per element
         values, which = np.unique(labels, return_inverse=True)
         return tuple(map(values.tolist().__getitem__, which.tolist()))
@@ -332,13 +351,13 @@ class HomPoset:
     """All multihomomorphisms from ``source`` to ``target``, pointwise ordered.
 
     The elements are one 2-D numpy array of color masks, one row per element
-    in canonical order (``_Rows``); atoms, components and the involution are
-    computed on it.  ``elements`` (bitmask tuples) and ``index`` (tuple ->
-    position) are views built on first use, for the callers that walk
-    tuples.  Immutable after construction.  The optional involution is a
-    permutation of element indices of order two; ``induced_involution``
-    attaches one to a shallow copy, which shares the array and every view
-    built from it.
+    in canonical order (``_Rows``); atoms, components, the involution, the
+    Hom complex's cells and the up-sets are computed on it, and elements are
+    looked up in it by key.  ``elements`` (bitmask tuples) is a view built
+    on first use.  Immutable after construction.  The optional involution
+    is a permutation of element indices of order two;
+    ``induced_involution`` attaches one to a shallow copy, which shares the
+    array and every view built from it.
     """
 
     def __init__(self, source: Graph, target: Graph, elements):
@@ -351,7 +370,6 @@ class HomPoset:
         self.source, self.target = source, target
         self._rows = _Rows(source, target, elements)
         self.involution = None
-        self.involution_name = ""
 
     def __len__(self) -> int:
         return len(self._rows.rows)
@@ -362,53 +380,39 @@ class HomPoset:
         return self._rows.elements
 
     @property
-    def index(self) -> dict:
-        """Element tuple -> its index."""
-        return self._rows.index
-
-    @property
     def atoms(self) -> tuple:
         """Indices of the elements that are graph maps (all sets singletons)."""
         return self._rows.atoms
 
     def leq(self, i: int, j: int) -> bool:
-        a, b = self.elements[i], self.elements[j]
-        return all(x & ~y == 0 for x, y in zip(a, b))
+        return not any(x & ~y for x, y in zip(self._row(i), self._row(j)))
+
+    def cell_relation(self) -> tuple:
+        """The Hom complex's cells (see ``complexes.hom_complex``), one per
+        element, as element-index arrays ``(dims, face_owner, faces,
+        top_owner, tops)``: faces by element, vertex and color, and a row of
+        ``tops`` (face, 1-cell) per set of two colors or more, each found by
+        the key of its ranks."""
+        return self._rows.cell_relation()
 
     def above(self, i: int) -> list:
         """Ascending indices of the elements strictly above element ``i``.
 
-        Depth-first walk over upper covers: ``_moves`` gives the colors that
-        can join each set, so every cover walked is an element, looked up in
-        ``index``, and no candidate is probed in vain.  Multihoms are closed
-        under shrinking sets, so every element between ``i`` and any
+        Depth-first walk over upper covers, the transpose of the face
+        relation (``cell_relation``), built once per array.  Multihoms are
+        closed under shrinking sets, so every element between ``i`` and any
         ``j >= i`` is itself an element, and the walk reaches every ``j``
         above ``i``.
         """
-        moves, index = self._cover_moves, self.index
-        start = self.elements[i]
-        found = {start: i}
-        stack = [start]
+        covers = self._rows.covers
+        found, stack = {i}, [i]
         while stack:
-            e = stack.pop()
-            for v, m in enumerate(e):
-                rest = moves(e, v)
-                if not rest:
-                    continue
-                head, tail = e[:v], e[v + 1:]
-                while rest:
-                    bit = rest & -rest
-                    rest ^= bit
-                    f = head + (m | bit,) + tail
-                    if f not in found:
-                        found[f] = index[f]
-                        stack.append(f)
-        del found[start]
-        return sorted(found.values())
-
-    @cached_property
-    def _cover_moves(self) -> Callable[[Sequence, int], int]:
-        return _moves(self.source, self.target)
+            for j in covers[stack.pop()]:
+                if j not in found:
+                    found.add(j)
+                    stack.append(j)
+        found.discard(i)
+        return sorted(found)
 
     def _row(self, i: int) -> list:
         return self._rows.rows[i].tolist()
@@ -428,10 +432,11 @@ class HomPoset:
         return GraphMap.build(self.source, self.target, assignment)
 
     def index_of_graph_map(self, phi: GraphMap) -> int:
-        try:
-            return self.index[_atom(self.target, phi.assignment)]
-        except KeyError:
-            raise InputError("graph map is not an element of this Hom poset") from None
+        atom = np.array([_atom(self.target, phi.assignment)], dtype=self._rows.rows.dtype)
+        at = int(self._rows.find_masks(atom)[0])
+        if at < 0:
+            raise InputError("graph map is not an element of this Hom poset")
+        return at
 
     # -- components --------------------------------------------------------
 
@@ -441,16 +446,14 @@ class HomPoset:
 
         Ground truth is the comparability graph.  The poset is the face
         poset of the Hom complex, a regular cell complex whose vertices are
-        the atoms, so its components are those of the 1-skeleton.  A 1-cell
-        doubles one set of an atom, and each is found once, from the atom
-        whose color at the doubled vertex is the lower one (see ``_moves``):
-        per source vertex, the move masks of all atom rows at once, each
-        1-cell's other end found by key.  The atoms are joined along the
-        1-cells by hooking roots (``_hooked_roots``), and every element
-        takes the label of its lowest atom (the lowest color of every set),
-        found by key; that atom lies below it and comes first in canonical
-        order, so the smallest element of a component is an atom.  Computed
-        once per array, and shared by its copies.
+        the atoms, so its components are those of the 1-skeleton: the
+        elements with one set of two colors, each joining its two faces,
+        its lowest and its highest atom, both found by key.  The atoms are
+        joined along these 1-cells by hooking roots (``_hooked_roots``), and
+        every element takes the label of its lowest atom (the lowest color
+        of every set), found by key; that atom lies below it and comes
+        first in canonical order, so the smallest element of a component is
+        an atom.  Computed once per array, and shared by its copies.
         """
         return self._rows.labels
 
@@ -592,22 +595,13 @@ def enumerate_hom(source: Graph, target: Graph,
     return HomPoset(source, target, rows)
 
 
-def _precompose(pos: list) -> Callable[[tuple], tuple]:
-    """The map ``e -> (e[pos[0]], e[pos[1]], ...)`` on bitmask tuples."""
-    if len(pos) > 1:
-        return itemgetter(*pos)
-    # itemgetter of a single key returns the item itself, not a 1-tuple
-    return lambda e: tuple(e[p] for p in pos)
-
-
-def induced_involution(z: Z2Graph, poset: HomPoset,
-                       name: str = "") -> HomPoset:
+def induced_involution(z: Z2Graph, poset: HomPoset) -> HomPoset:
     """Attach the involution eta -> eta o gamma to Hom(T, G).
 
     Every row is mapped through the column permutation of gamma and looked
     up by key, so the involution is a tuple of element indices.  Returns a
     shallow copy of ``poset`` carrying it; the copy shares the array and
-    every view built from it (tuples, index, atoms, components), which the
+    every view built from it (tuples, covers, atoms, components), which the
     involution does not change.  Requires a loopless target and a flipping
     involution, which together make the action fixed-point-free; an image
     that is not an element, or a fixed element, raises InvariantError, and
@@ -620,16 +614,15 @@ def induced_involution(z: Z2Graph, poset: HomPoset,
     if not z.is_flipping:
         raise InputError("induced involution requires a flipping involution")
     rows = poset._rows
-    image = rows.ranks[:, [z.graph.index(z.involution(v)) for v in z.graph.vertices]]
-    perm = np.searchsorted(rows.keys, _keys(image))
-    missing = (rows.ranks[np.minimum(perm, len(perm) - 1)] != image).any(axis=1)
-    bad = np.flatnonzero(missing | (perm == np.arange(len(perm))))
+    perm = rows.find(rows.ranks[:, [z.graph.index(z.involution(v))
+                                    for v in z.graph.vertices]])
+    bad = np.flatnonzero((perm < 0) | (perm == np.arange(len(perm))))
     if len(bad):
-        if missing[bad[0]]:
+        if perm[bad[0]] < 0:
             raise InvariantError("involution image is not a poset element")
         raise InvariantError(f"induced involution fixes element {bad[0]}")
     out = copy.copy(poset)
-    out.involution, out.involution_name = tuple(perm.tolist()), name
+    out.involution = tuple(perm.tolist())
     return out
 
 
@@ -639,20 +632,19 @@ def induced_map(f: GraphMap, poset: HomPoset,
 
     ``poset`` must be Hom(f.target, G).  Returns the list of image elements
     (bitmask tuples over f.source); with ``codomain`` given, returns indices
-    into it instead.
+    into it instead, each image found by key.
     """
     if poset.source != f.target:
         raise InputError("poset source does not match the map's target graph")
-    image = _precompose([f.target.index(f(v)) for v in f.source.vertices])
-    images = list(map(image, poset.elements))
+    images = poset._rows.rows[:, [f.target.index(f(v)) for v in f.source.vertices]]
     if codomain is None:
-        return images
+        return list(map(tuple, images.tolist()))
     if codomain.source != f.source or codomain.target != poset.target:
         raise InputError("codomain poset does not match Hom(f.source, G)")
-    try:
-        return [codomain.index[e] for e in images]
-    except KeyError:
-        raise InvariantError("precomposition image missing from codomain poset") from None
+    at = codomain._rows.find_masks(images)
+    if (at < 0).any():
+        raise InvariantError("precomposition image missing from codomain poset")
+    return at.tolist()
 
 
 # ---------------------------------------------------------------------------

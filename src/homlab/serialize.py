@@ -53,10 +53,27 @@ def graph_to_json(g: Graph) -> dict:
     }
 
 
+_NAME = (str, int, float)  # the JSON values that name a vertex
+
+
+def _field(obj, key: str, what: str, kind: type = object):
+    """``obj[key]``, where ``obj`` is the JSON of a ``what``; InputError
+    unless ``obj`` is an object with a ``key`` entry of type ``kind``."""
+    if not (isinstance(obj, dict) and key in obj and isinstance(obj[key], kind)):
+        shape = "" if kind is object else f" as a {kind.__name__}"
+        raise InputError(f"{what} JSON needs {key!r}{shape}")
+    return obj[key]
+
+
 def graph_from_json(obj) -> Graph:
-    if not isinstance(obj, dict) or "vertices" not in obj or "edges" not in obj:
-        raise InputError("graph JSON needs 'vertices' and 'edges'")
-    return Graph.build(obj["vertices"], [tuple(e) for e in obj["edges"]])
+    vertices = _field(obj, "vertices", "graph", list)
+    edges = _field(obj, "edges", "graph", list)
+    for e in edges:
+        if not (isinstance(e, list) and len(e) == 2 and all(isinstance(v, _NAME) for v in e)):
+            raise InputError(f"graph JSON: edge {e!r} is not a pair of vertices")
+    if not all(isinstance(v, _NAME) for v in vertices):
+        raise InputError("graph JSON: vertices must be strings or numbers")
+    return Graph.build(vertices, [tuple(e) for e in edges])
 
 
 def _read_json(path) -> object:
@@ -71,6 +88,8 @@ def _read_json(path) -> object:
 
 def _coerce_keys(mapping: dict, g: Graph) -> dict:
     """Resolve JSON object keys (always strings) against the graph's vertices."""
+    if not isinstance(mapping, dict):
+        raise InputError(f"{mapping!r} is not a JSON object of vertices")
     by_str = {str(v): v for v in g.vertices}
     out = {}
     for k, v in mapping.items():
@@ -84,7 +103,7 @@ def _coerce_keys(mapping: dict, g: Graph) -> dict:
 
 
 def _coerce_value(value, g: Graph):
-    if g.has_vertex(value):
+    if isinstance(value, _NAME) and g.has_vertex(value):
         return value
     by_str = {str(v): v for v in g.vertices}
     if str(value) in by_str:
@@ -120,7 +139,7 @@ def load_involution(spec, graph: Graph = None) -> Z2Graph:
         g = load_graph(spec["graph"]) if "graph" in spec else graph
         if g is None:
             raise InputError("involution JSON needs a 'graph' entry")
-        m = _coerce_keys(spec["map"], g)
+        m = _coerce_keys(_field(spec, "map", "involution"), g)
         z = Z2Graph.build(g, {k: _coerce_value(v, g) for k, v in m.items()})
     else:
         spec = str(spec)
@@ -164,9 +183,9 @@ def load_graph_map(spec) -> GraphMap:
         if not isinstance(got, GraphMap):
             raise InputError(f"builtin {spec!r} is not a graph map")
         return got
-    source = load_graph(spec["source"])
-    target = load_graph(spec["target"])
-    raw = _coerce_keys(spec["assignment"], source)
+    source = load_graph(_field(spec, "source", "graph map"))
+    target = load_graph(_field(spec, "target", "graph map"))
+    raw = _coerce_keys(_field(spec, "assignment", "graph map"), source)
     return GraphMap.build(source, target,
                           {k: _coerce_value(v, target) for k, v in raw.items()})
 
@@ -182,12 +201,10 @@ def certificate_to_json(cert: PathCertificate) -> dict:
 
 
 def certificate_from_json(obj) -> PathCertificate:
-    if not isinstance(obj, dict) or "colorings" not in obj:
-        raise InputError("certificate JSON needs 'source', 'target', 'colorings'")
-    source = load_graph(obj["source"])
-    target = load_graph(obj["target"])
+    source = load_graph(_field(obj, "source", "certificate"))
+    target = load_graph(_field(obj, "target", "certificate"))
     colorings = []
-    for row in obj["colorings"]:
+    for row in _field(obj, "colorings", "certificate", list):
         raw = _coerce_keys(row, source)
         colorings.append({k: _coerce_value(v, target) for k, v in raw.items()})
     return PathCertificate.build(source, target, colorings)

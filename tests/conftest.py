@@ -116,6 +116,54 @@ def on_simplices():
     return simplicial_involution
 
 
+def element_index(poset):
+    """Element tuple -> its index in ``poset``: the tests' own lookup, made
+    from the element tuples."""
+    return dict(zip(poset.elements, range(len(poset))))
+
+
+@pytest.fixture(scope="session")
+def index_of():
+    return element_index
+
+
+def tuple_hom_cells(poset):
+    """Oracle for ``hom_complex``: the Hom complex's cells, face rows and
+    top rows, found by walking the element tuples and looking every face
+    and 1-cell up in the element index.  Rows hold positions in the
+    dimension below (faces) and in dimension 1 (1-cells)."""
+    index = element_index(poset)
+    dims = [sum(m.bit_count() for m in e) - len(e) for e in poset.elements]
+    cells = [[] for _ in range(max(dims, default=-1) + 1)]
+    pos = []
+    for i, d in enumerate(dims):
+        pos.append(len(cells[d]))
+        cells[d].append(i)
+    faces = [[[] for _ in level] for level in cells]
+    tops = [[[] for _ in level] for level in cells]
+    for e, d, p in zip(poset.elements, dims, pos):
+        peak = tuple(1 << (m.bit_length() - 1) for m in e)
+        for v, m in enumerate(e):
+            if m == peak[v]:
+                continue
+            head, tail = e[:v], e[v + 1:]
+            rest = m
+            while rest:
+                bit = rest & -rest
+                rest ^= bit
+                faces[d][p].append(pos[index[head + (m ^ bit,) + tail]])
+            # the last face found dropped the largest color, peak[v]
+            second = 1 << ((m ^ peak[v]).bit_length() - 1)
+            edge = index[peak[:v] + (peak[v] | second,) + peak[v + 1:]]
+            tops[d][p].append([faces[d][p][-1], pos[edge]])
+    return cells, faces, tops
+
+
+@pytest.fixture(scope="session")
+def hom_cells():
+    return tuple_hom_cells
+
+
 def atom_move_components(poset):
     """Oracle for ``HomPoset.component_labels``: partition the atoms under
     the union-is-multihom relation, then give every element the label of
@@ -151,7 +199,8 @@ def atom_move_components(poset):
                                                         poset.elements[j]):
                 ri, rj = find(i), find(j)
                 parent[max(ri, rj)] = min(ri, rj)
-    labels = [find(poset.index[tuple(m & -m for m in e)]) for e in poset.elements]
+    index = element_index(poset)
+    labels = [find(index[tuple(m & -m for m in e)]) for e in poset.elements]
     first = {}
     for i, lab in enumerate(labels):
         first.setdefault(lab, i)
@@ -165,13 +214,13 @@ def atom_components():
 
 def dict_route_involution(z, poset):
     """Oracle for ``induced_involution``: each element tuple precomposed
-    with the involution and looked up in ``poset.index`` (None for an image
-    that is not an element)."""
+    with the involution and looked up in the element index (None for an
+    image that is not an element)."""
     pos = [z.graph.index(z.involution(v)) for v in z.graph.vertices]
 
     def image(e):
         return tuple(e[p] for p in pos)
-    return tuple(map(poset.index.get, map(image, poset.elements)))
+    return tuple(map(element_index(poset).get, map(image, poset.elements)))
 
 
 @pytest.fixture(scope="session")

@@ -158,7 +158,7 @@ def test_criterion_7_component_oracle_equivalence(hom_T_k3, atom_components):
 
 
 def test_criterion_8_property_suite(hom_k2_k3, hom_k2_k4, boundary_matrix,
-                                   on_simplices):
+                                   on_simplices, index_of):
     rng = np.random.default_rng(17)
 
     # boundary squared and coboundary squared vanish
@@ -217,7 +217,8 @@ def test_criterion_8_property_suite(hom_k2_k3, hom_k2_k4, boundary_matrix,
         r_star = induced_map(w.retraction, q)
         big = HomPoset(k2, g, sorted(set(r_star)))
         i_images = induced_map(w.inclusion, big)
-        if [i_images[big.index[e]] for e in r_star] != list(q.elements):
+        index = index_of(big)
+        if [i_images[index[e]] for e in r_star] != list(q.elements):
             retract = False
 
     ok = dd and free and section_independent and retract

@@ -49,13 +49,13 @@ class TestCheckSwt:
         assert r.status == "violated"
 
     def test_component_route_builds_no_tuples(self, K4):
-        """The component route runs on the mask array: neither the element
-        tuples nor their index are ever built."""
+        """The component route runs on the mask array: the element tuples
+        are never built."""
         z = cycle_reflection(7)
         p = induced_involution(z, enumerate_hom(z.graph, K4))
         r = check_swt_bound(z, K4, method="component", poset=p)
         assert (r.status, r.invariant_value) == ("inconclusive", 1)
-        assert not {"elements", "index"} & set(vars(p._rows))
+        assert "elements" not in vars(p._rows)
 
     def test_non_flipping_rejected(self, K3):
         from homlab import Graph, Z2Graph

@@ -96,7 +96,7 @@ class TestCliBasics:
 
     def test_hom_builds_no_tuples(self, capsys, monkeypatch):
         """Without --components or --export, ``hom`` counts elements and
-        atoms on the mask array and never builds the tuples or their index."""
+        atoms on the mask array and never builds the element tuples."""
         made = []
         enumerate_hom = hom.enumerate_hom
 
@@ -107,7 +107,28 @@ class TestCliBasics:
         code, out, _ = run(capsys, "hom", "K2", "K5", "--json")
         assert code == 0 and json.loads(out) == {"size": 180, "atoms": 20}
         assert len(made) == 1
-        assert not {"elements", "index"} & set(vars(made[0]._rows))
+        assert "elements" not in vars(made[0]._rows)
+
+    @pytest.mark.parametrize("argv", [
+        ("betti", "K2", "K5"),
+        ("check-ht", "K2", "K4"),
+        ("height", "C5", "reflection", "K4"),
+        ("hom", "K2", "K5", "--export", "{out}"),
+        ("height", "K2", "swap", "K5", "--export", "{out}"),
+    ])
+    def test_cell_routes_build_no_tuples(self, capsys, monkeypatch, tmp_path, argv):
+        """The Hom complex, its quotient and the full height run on the
+        mask array: no poset on these routes builds its element tuples."""
+        made, init = [], hom._Rows.__init__
+
+        def recorded(self, *args):
+            init(self, *args)
+            made.append(self)
+        monkeypatch.setattr(hom._Rows, "__init__", recorded)
+        out = tmp_path / "cells.json"
+        code, _, _ = run(capsys, *(a.format(out=out) for a in argv))
+        assert code == 0 and made
+        assert not any("elements" in vars(rows) for rows in made)
 
     def test_hom_components(self, capsys):
         code, out, _ = run(capsys, "--json", "hom", "paper_T", "K3",
@@ -321,6 +342,22 @@ class TestCliExitCodes:
         monkeypatch.setattr(complexes, "sw_height", broken)
         code, out, err = run(capsys, "--json", "height", "K2", "swap", "K3")
         assert code == 4 and out == "" and "internal error" in err
+
+    @pytest.mark.parametrize("argv, bad", [
+        (("chrom", "{file}"), {"vertices": [1, 2, 3], "edges": [[1, 2, 3]]}),
+        (("height", "K2", "{file}", "K3"), {"graph": "K2"}),
+        (("height", "K2", "{file}", "K3"), {"map": [1, 2]}),
+        (("find-path", "K2", "K3", "{file}", "{file}"),
+         {"source": "K2", "assignment": {"1": 1, "2": 2}}),
+        (("verify-cert", "{file}"),
+         {"target": "K3", "colorings": [{"1": 1, "2": 2}]}),
+    ], ids=["graph-edge-triple", "involution-no-map", "involution-map-list",
+            "map-no-target", "certificate-no-source"])
+    def test_malformed_file_exit_two(self, capsys, tmp_path, argv, bad):
+        path = tmp_path / "bad.json"
+        path.write_text(dumps(bad))
+        code, out, err = run(capsys, *(a.format(file=path) for a in argv))
+        assert code == 2 and out == "" and err.startswith("error: ")
 
     def test_theorem1_bad_input_exit_two(self, capsys):
         code, _, _ = run(capsys, "paper", "theorem1", "K3")

@@ -289,8 +289,8 @@ class TestComponents:
 
     def test_k2_c200_finds_each_one_cell_once(self, K2, atom_components, monkeypatch):
         """Two components, the atoms (x, x +- 1) with x even and with x odd;
-        each atom finds only the 1-cells to the colors above it adjacent to
-        its other color, not all 200, and each 1-cell once."""
+        the join gets each 1-cell once, as many as there are recolorings of
+        an atom to a color above it, not one per color of C200."""
         c200 = cycle(200)
         poset = enumerate_hom(K2, c200)
         joined = []
@@ -402,10 +402,10 @@ class TestInducedInvolution:
         with pytest.raises(InvariantError, match="not a poset element"):
             induced_involution(complete_flip(2), partial)
 
-    def test_shares_the_index_and_cached_components(self, hom_T_k3):
+    def test_shares_the_elements_and_cached_components(self, hom_T_k3):
         labels = hom_T_k3.component_labels
         z = induced_involution(paper_gamma2(), hom_T_k3)
-        assert z.index is hom_T_k3.index
+        assert z.elements is hom_T_k3.elements
         assert z.component_labels is labels
         assert hom_T_k3.involution is None
 

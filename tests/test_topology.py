@@ -278,6 +278,17 @@ class TestOrderComplex:
             order_complex(poset, max_chains=100_000)
         assert len(walked) == len(set(walked)) < len(poset)
 
+    def test_poset_past_the_cap_builds_no_covers(self, K2, monkeypatch):
+        # every element is a 0-chain, so 180 elements break a cap of 179
+        # before any up-set is walked or any cover table built
+        def refuse(self, i):
+            raise AssertionError("order_complex walked an up-set")
+        monkeypatch.setattr(HomPoset, "above", refuse)
+        poset = enumerate_hom(K2, complete(5))
+        with pytest.raises(ResourceLimitError):
+            order_complex(poset, max_chains=len(poset) - 1)
+        assert "covers" not in vars(poset._rows)
+
     def test_descending_upsets_rejected(self):
         class Descending(RelationPoset):
             def above(self, i):
@@ -338,16 +349,17 @@ def barycentric_height(poset, on_simplices) -> float:
     return w1_height(w1)
 
 
-def section_changing_paths(poset, i) -> int:
+def section_changing_paths(poset, index, i) -> int:
     """Oracle for w1^n on the Hom cell ``i``: the monotone lattice paths
     through its atoms, from the lowest to the highest, every step of which
     changes section membership, counted mod 2.  An atom is in the section
-    when its index is below its image's."""
+    when its index is below its image's; ``index`` maps element tuples to
+    their indices."""
     colors = [[b for b in range(m.bit_length()) if m >> b & 1]
               for m in poset.elements[i]]
 
     def in_section(at):
-        a = poset.index[tuple(1 << colors[v][k] for v, k in enumerate(at))]
+        a = index[tuple(1 << colors[v][k] for v, k in enumerate(at))]
         return a < poset.involution[a]
 
     @functools.lru_cache(maxsize=None)
@@ -405,10 +417,11 @@ class TestHomComplex:
                 prod = dense_face_matrix(x, d - 1) @ dense_face_matrix(x, d)
                 assert not (prod % 2).any()
 
-    def test_hom_tops_match_definition(self, hom_k2_k4):
+    def test_hom_tops_match_definition(self, hom_k2_k4, index_of):
         # one top pair per set of size >= 2: drop its largest color, and the
         # edge from the largest colors of that face to those of the cell
         p, x = hom_k2_k4, hom_complex(hom_k2_k4)
+        index = index_of(p)
 
         def peak(e):
             return tuple(1 << (m.bit_length() - 1) for m in e)
@@ -421,9 +434,20 @@ class TestHomComplex:
                         top = 1 << (m.bit_length() - 1)
                         face = e[:v] + (m ^ top,) + e[v + 1:]
                         edge = tuple(a | b for a, b in zip(peak(face), peak(e)))
-                        want.append((p.index[face], p.index[edge]))
+                        want.append((index[face], index[edge]))
                 assert sorted((x.cells[d - 1][f], x.cells[1][g]) for f, g in row) \
                     == sorted(want)
+
+    @settings(max_examples=80, deadline=None, derandomize=True, database=None)
+    @given(st.data())
+    def test_cells_match_tuple_walk(self, small_graphs, hom_cells, data):
+        source = data.draw(small_graphs(1, loops=True))
+        target = data.draw(small_graphs(0, loops=True))
+        check_cells_against_tuple_walk(enumerate_hom(source, target), hom_cells)
+
+    @pytest.mark.parametrize("n", [8, 9, 64, 65, 70])
+    def test_cells_at_mask_dtype_boundaries(self, K2, n, hom_cells):
+        check_cells_against_tuple_walk(enumerate_hom(K2, cycle(n)), hom_cells)
 
     def test_chain_cap(self, K2):
         # the cap counts cells; sw_height passes its max_chains to it
@@ -457,12 +481,13 @@ class TestHomComplex:
         assert sw_height(hom_k2_k4_swap).value == 2
 
     @pytest.mark.parametrize("z, m", [(complete_flip(2), 5), (cycle_reflection(5), 4)])
-    def test_cup_power_counts_section_changing_paths(self, z, m):
+    def test_cup_power_counts_section_changing_paths(self, z, m, index_of):
         poset = induced_involution(z, enumerate_hom(z.graph, complete(m)))
+        index = index_of(poset)
         q, w1 = quotient_with_w1(hom_complex(poset), poset.involution)
         for n in range(1, q.dim + 1):
             assert cup_power(w1, n).values.tolist() == [
-                section_changing_paths(poset, i) for i in q.cells[n]]
+                section_changing_paths(poset, index, i) for i in q.cells[n]]
 
     @settings(max_examples=80, deadline=None, derandomize=True, database=None)
     @given(st.data())
@@ -477,6 +502,15 @@ class TestHomComplex:
             assume(False)
         assert sw_height(poset).value == barycentric_height(poset, on_simplices)
         assert betti_mod2(hom_complex(poset)) == betti_mod2(order_complex(poset))
+
+
+def check_cells_against_tuple_walk(poset, hom_cells):
+    """``hom_complex`` has the tuple walk's cells, face rows and top rows."""
+    x = hom_complex(poset)
+    cells, faces, tops = hom_cells(poset)
+    assert [list(level) for level in x.cells] == cells
+    assert [t.rows() for t in x.faces] == faces
+    assert [t.rows() for t in x.tops] == tops
 
 
 class TestQuotient:
