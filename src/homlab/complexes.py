@@ -4,10 +4,10 @@ posets, free quotients with the first Stiefel-Whitney cocycle, mod-2
 
 Every complex is a :class:`CellComplex`: each cell keeps its face list (the
 cells of its mod-2 boundary) and its top pairs (which carry the cup
-product).  Boundaries and coboundaries are read off the face lists as
-sparse bit rows, and all rank and membership questions go to the one GF(2)
-elimination in :mod:`homlab.gf2`; no operator is ever stored as a dense
-matrix.
+product).  The face lists are the rows of the boundary ranks and of the
+coboundary tests as they are: every rank and membership question goes to
+the one GF(2) elimination in :mod:`homlab.gf2`, and no operator is ever
+stored as a dense matrix or transposed.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from typing import NamedTuple, Optional, Sequence
 import numpy as np
 
 from .errors import FreenessError, InputError, InvariantError, ResourceLimitError
-from .gf2 import pack, reduce, span
+from .gf2 import in_column_span, pivots
 from .hom import HomPoset, default_max_elements
 
 __all__ = [
@@ -107,43 +107,6 @@ class CellComplex:
                     and top.fits(n, (2,), [below, self.n_cells(1)])):
                 raise InputError(f"cell table of dimension {d} is malformed")
 
-    @classmethod
-    def simplicial(cls, simplices_by_dim: Sequence[Sequence[tuple]]) -> "CellComplex":
-        """The ordered simplicial complex on the given vertex tuples.
-
-        Every face (one position deleted) of every simplex must be present.
-        A simplex's one top pair is its face omitting the last vertex and its
-        last edge, so :func:`cup_power` is the front-face product.
-        """
-        levels = [[tuple(s) for s in level] for level in simplices_by_dim]
-        while levels and not levels[-1]:
-            levels.pop()
-        pos = {}
-        for level in levels:
-            for s in level:
-                for v in s:
-                    pos.setdefault(v, len(pos))
-        keys, parents, lasts = [], [], []
-        for d, level in enumerate(levels):
-            for s in level:
-                if len(s) != d + 1:
-                    raise InputError(f"simplex {s!r} has wrong length for dimension {d}")
-                if len(set(s)) != len(s):
-                    raise InputError(f"simplex {s!r} repeats a vertex")
-            at = np.array([[pos[v] for v in s] for s in level],
-                          dtype=np.intp).reshape(len(level), d + 1)
-            # the face omitting the last vertex, by the positions of its prefixes
-            parent = np.zeros(len(level), dtype=np.intp)
-            for k in range(d):
-                parent = keys[k].find(parent, at[:, k])
-            if (parent < 0).any():
-                s = level[np.flatnonzero(parent < 0)[0]]
-                raise InputError(f"face {s[:-1]!r} of {s!r} is missing")
-            parents.append(parent)
-            lasts.append(at[:, d])
-            keys.append(_Keys(parent, at[:, d], len(pos), level))
-        return cls(levels, *_simplex_tables(levels, keys, parents, lasts))
-
     @property
     def dim(self) -> int:
         return len(self.cells) - 1
@@ -164,29 +127,19 @@ class _Keys:
     """The simplices of one dimension, searchable by the key
     ``parent * n + last``: the position of the face omitting the last vertex
     in the dimension below, and the position of the last vertex among the
-    ``n`` vertices.  Keys that do not ascend are searched through a sorter;
-    raises InputError on a duplicate simplex."""
+    ``n`` vertices.  The keys must ascend strictly."""
 
-    def __init__(self, parent: np.ndarray, last: np.ndarray, n: int, names: Sequence):
+    def __init__(self, parent: np.ndarray, last: np.ndarray, n: int):
         self.n = n
         self.keys = parent * n + last
-        self.sorter = None
-        if (np.diff(self.keys) <= 0).any():
-            self.sorter = np.argsort(self.keys, kind="stable")
-            ordered = self.keys[self.sorter]
-            twice = np.flatnonzero(ordered[1:] == ordered[:-1])
-            if twice.size:
-                raise InputError(f"duplicate simplex {names[self.sorter[twice[0]]]!r}")
 
     def find(self, parent: np.ndarray, last: np.ndarray) -> np.ndarray:
         """Positions of the simplices with these keys; -1 where there is none."""
         if not len(self.keys):
             return np.full(len(parent), -1, dtype=np.intp)
         wanted = parent * self.n + last
-        at = np.searchsorted(self.keys, wanted, sorter=self.sorter)
+        at = np.searchsorted(self.keys, wanted)
         np.minimum(at, len(self.keys) - 1, out=at)
-        if self.sorter is not None:
-            at = self.sorter[at]
         return np.where(self.keys[at] == wanted, at, -1)
 
 
@@ -247,13 +200,13 @@ def betti_mod2(x: CellComplex, reduced: bool = False) -> tuple:
 
 
 def _cleared_rank(rows: list, cleared: bytearray, below: int) -> tuple:
-    """GF(2) rank of the bit rows not marked in ``cleared``, and the marks
-    of its pivots among the ``below`` columns."""
-    basis = span(pack(row) for row, skip in zip(rows, cleared) if not skip)
-    pivots = bytearray(below)
-    for p in basis:
-        pivots[p] = 1
-    return len(basis), pivots
+    """GF(2) rank of the rows not marked in ``cleared``, and the marks of
+    its pivots among the ``below`` columns."""
+    found = pivots(row for row, skip in zip(rows, cleared) if not skip)
+    marks = bytearray(below)
+    for p in found:
+        marks[p] = 1
+    return len(found), marks
 
 
 # ---------------------------------------------------------------------------
@@ -309,8 +262,8 @@ def order_complex(poset, max_chains: Optional[int] = None) -> CellComplex:
         extend(i, 0)
     parents = [np.frombuffer(p, dtype=np.int64).astype(np.intp, copy=False) for p in parents]
     lasts = [np.frombuffer(v, dtype=np.int64).astype(np.intp, copy=False) for v in lasts]
-    keys = [_Keys(p, v, n, level) for p, v, level in zip(parents, lasts, levels)]
-    if any(k.sorter is not None for k in keys):
+    keys = [_Keys(p, v, n) for p, v in zip(parents, lasts)]
+    if any((np.diff(k.keys) <= 0).any() for k in keys):
         raise InputError("poset.above must list ascending indices")
     return CellComplex(levels, *_simplex_tables(levels, keys, parents, lasts))
 
@@ -365,9 +318,6 @@ class CocycleClass:
     complex: CellComplex
     degree: int
     values: np.ndarray  # uint8, aligned with cells of that degree
-
-    def is_zero(self) -> bool:
-        return not self.values.any()
 
     def check_cocycle(self) -> bool:
         return not coboundary(self).values.any()
@@ -537,19 +487,16 @@ def cup_power(z: CocycleClass, n: int) -> CocycleClass:
 
 
 def is_coboundary(c: CocycleClass) -> bool:
-    """True iff delta x = c is solvable over GF(2) (the class of c vanishes)."""
+    """True iff delta x = c is solvable over GF(2) (the class of c vanishes).
+
+    The matrix of delta into degree k has the k-cells' face rows as its
+    rows, so c is asked as a column of values on those rows.  In degree 0
+    the rows are empty, and only the zero cochain is a coboundary.
+    """
     x, k = c.complex, c.degree
-    if c.values.size == 0 or not c.values.any():
+    if not c.values.any():
         return True
-    if k == 0:
-        return False  # unreduced: only the zero 0-cochain is a coboundary
-    # delta of a (k-1)-cell: one bit per k-cell that has it as a face
-    cofaces = [0] * x.n_cells(k - 1)
-    for j, row in enumerate(x.faces[k].rows()):
-        for f in row:
-            cofaces[f] |= 1 << j
-    target = sum(1 << j for j in np.flatnonzero(c.values).tolist())
-    return reduce(target, span(cofaces)) == 0
+    return in_column_span(x.faces[k].rows(), c.values.tolist(), x.n_cells(k - 1))
 
 
 # ---------------------------------------------------------------------------

@@ -23,11 +23,9 @@ from .errors import InputError, InvariantError, ResourceLimitError
 from .graphs import Graph, GraphMap, Z2Graph, is_graph_map
 
 __all__ = [
-    "Multihom",
     "HomPoset",
     "PathCertificate",
     "CertificateCheck",
-    "is_multihom",
     "enumerate_hom",
     "induced_map",
     "induced_involution",
@@ -49,53 +47,6 @@ def default_max_elements() -> int:
         return int(raw)
     except ValueError:
         raise InputError(f"HOMLAB_MAX_ELEMENTS={raw!r} is not an integer") from None
-
-
-@dataclass(frozen=True)
-class Multihom:
-    """A map vertex -> nonempty color set satisfying the cross-product condition."""
-
-    source: Graph
-    target: Graph
-    sets: tuple  # frozensets aligned with source.vertices
-
-    @classmethod
-    def build(cls, source: Graph, target: Graph, sets) -> "Multihom":
-        if isinstance(sets, dict):
-            missing = [v for v in source.vertices if v not in sets]
-            if missing:
-                raise InputError(f"multihom missing vertices {missing!r}")
-            extra = [v for v in sets if not source.has_vertex(v)]
-            if extra:
-                raise InputError(f"multihom mentions undeclared vertices {extra!r}")
-            sets = tuple(sets[v] for v in source.vertices)
-        fsets = tuple(frozenset(s) for s in sets)
-        if len(fsets) != len(source.vertices):
-            raise InputError("multihom set count does not match vertex count")
-        for s in fsets:
-            if not s:
-                raise InputError("multihom sets must be nonempty")
-            for w in s:
-                target.index(w)
-        return cls(source=source, target=target, sets=fsets)
-
-    def as_dict(self) -> dict:
-        return dict(zip(self.source.vertices, self.sets))
-
-
-def is_multihom(eta, source: Graph, target: Graph) -> bool:
-    """True iff every edge (v, w) of the source satisfies
-    sets(v) x sets(w) a subset of E(target).  Loops in the source require
-    sets(v) x sets(v) inside the target edge set."""
-    mh = eta if isinstance(eta, Multihom) else Multihom.build(source, target, eta)
-    for u, v in mh.source.edges:
-        su = mh.sets[mh.source.index(u)]
-        sv = mh.sets[mh.source.index(v)]
-        for x in su:
-            for y in sv:
-                if not mh.target.has_edge(x, y):
-                    return False
-    return True
 
 
 def _mask_key(mask: int) -> tuple:
@@ -416,20 +367,6 @@ class HomPoset:
 
     def _row(self, i: int) -> list:
         return self._rows.rows[i].tolist()
-
-    def element_as_multihom(self, i: int) -> Multihom:
-        sets = tuple(
-            frozenset(self.target.vertices[b] for b in _mask_key(m))
-            for m in self._row(i)
-        )
-        return Multihom(source=self.source, target=self.target, sets=sets)
-
-    def atom_as_graph_map(self, i: int) -> GraphMap:
-        e = self._row(i)
-        if any(m & (m - 1) for m in e):
-            raise InputError(f"element {i} is not an atom")
-        assignment = tuple(self.target.vertices[m.bit_length() - 1] for m in e)
-        return GraphMap.build(self.source, self.target, assignment)
 
     def index_of_graph_map(self, phi: GraphMap) -> int:
         atom = np.array([_atom(self.target, phi.assignment)], dtype=self._rows.rows.dtype)

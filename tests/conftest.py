@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
-from homlab import (Graph, complete, complete_flip, cycle, cycle_reflection,
-                    enumerate_hom, induced_involution, paper_T, paper_f,
-                    paper_gamma1, paper_gamma2)
+from homlab import (CellComplex, Graph, GraphMap, complete, complete_flip, cycle,
+                    cycle_reflection, enumerate_hom, induced_involution, paper_T,
+                    paper_f, paper_gamma1, paper_gamma2)
+from homlab.complexes import Table
 
 
 @pytest.fixture(scope="session")
@@ -103,6 +104,46 @@ def tuple_simplex_tables(levels):
 @pytest.fixture(scope="session")
 def simplex_tables():
     return tuple_simplex_tables
+
+
+def rows_table(rows, width=()):
+    """A ``Table`` holding ``rows``, each a list of entries of shape ``width``."""
+    starts = np.zeros(len(rows) + 1, dtype=np.intp)
+    np.cumsum([len(row) for row in rows], out=starts[1:])
+    entries = np.array([e for row in rows for e in row], dtype=np.intp)
+    return Table(starts, entries.reshape((len(entries),) + width))
+
+
+def simplicial_complex(levels):
+    """The ordered simplicial complex on the vertex tuples of ``levels``,
+    one list per dimension, every face of every simplex present; its tables
+    come from the tuple oracle, so ``cup_power`` is the front-face product."""
+    faces, tops = tuple_simplex_tables(levels)
+    return CellComplex(levels, [rows_table(rows) for rows in faces],
+                       [rows_table(rows, (2,)) for rows in tops])
+
+
+def is_multihom(sets, source, target):
+    """Oracle: ``sets``, one color set per source vertex, is a multihom iff
+    every edge (u, v) of the source has sets(u) x sets(v) inside the edges
+    of the target; a loop at v asks it of sets(v) x sets(v)."""
+    return all(target.has_edge(x, y) for u, v in source.edges
+               for x in sets[source.index(u)] for y in sets[source.index(v)])
+
+
+def element_sets(poset, i):
+    """Element ``i`` of a Hom poset as its color sets, one frozenset of
+    target vertices per source vertex."""
+    colors = poset.target.vertices
+    return tuple(frozenset(w for b, w in enumerate(colors) if m >> b & 1)
+                 for m in poset.elements[i])
+
+
+def atom_graph_map(poset, i):
+    """Atom ``i`` of a Hom poset as the graph map it is."""
+    sets = element_sets(poset, i)
+    assert all(len(s) == 1 for s in sets), f"element {i} is not an atom"
+    return GraphMap.build(poset.source, poset.target, tuple(min(s) for s in sets))
 
 
 def simplicial_involution(x, vertex_map):

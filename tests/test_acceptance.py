@@ -23,6 +23,8 @@ from homlab.complexes import CocycleClass, coboundary, is_coboundary
 from homlab.hom import HomPoset
 from homlab.serialize import bundled_fig3_certificate
 
+from conftest import simplicial_complex
+
 
 def _report(name: str, ok: bool) -> None:
     print(f"[{'PASS' if ok else 'FAIL'}] {name}")
@@ -197,9 +199,8 @@ def test_criterion_8_property_suite(hom_k2_k3, hom_k2_k4, boundary_matrix,
             sorted([tuple(inv_perm[v] for v in s) for s in level])
             for level in x.cells
         ]
-        from homlab import CellComplex
         try:
-            x2 = CellComplex.simplicial(relabeled)
+            x2 = simplicial_complex(relabeled)
         except Exception:
             section_independent = False
             continue

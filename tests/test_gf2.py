@@ -3,7 +3,8 @@ import itertools
 import numpy as np
 import pytest
 
-from homlab.gf2 import gf2_rank, gf2_solvable, rank_sparse, reduce, span
+from homlab.gf2 import (gf2_rank, gf2_solvable, in_column_span, pivots, rank_sparse,
+                        reduce, span)
 
 
 def oracle_rank(a):
@@ -79,6 +80,19 @@ class TestSolvable:
             )
             assert gf2_solvable(a, b) == brute
 
+    def test_column_span_against_exhaustive_oracle(self):
+        # rows as column-index sets, zero columns included
+        rng = np.random.default_rng(13)
+        for _ in range(60):
+            m, n = int(rng.integers(1, 6)), int(rng.integers(0, 6))
+            a = rng.integers(0, 2, size=(m, n), dtype=np.uint8)
+            b = rng.integers(0, 2, size=m, dtype=np.uint8)
+            brute = any(
+                np.array_equal(a @ np.array(x, dtype=np.uint8) % 2, b)
+                for x in itertools.product((0, 1), repeat=n)
+            )
+            assert in_column_span(column_sets(a), b.tolist(), n) == brute
+
     def test_zero_rhs_always_solvable(self):
         assert gf2_solvable(np.zeros((3, 0), dtype=np.uint8), np.zeros(3))
 
@@ -91,6 +105,12 @@ class TestSolvable:
 
 
 class TestSparse:
+    def test_pivots_count_the_rank(self):
+        for a in random_matrices(seed=17):
+            found = pivots(column_sets(a))
+            assert len(found) == len(set(found)) == oracle_rank(a)
+            assert all(0 <= p < a.shape[1] for p in found)
+
     def test_duplicate_rows_collapse(self):
         rows = [{0, 1}, {0, 1}, {2}]
         assert rank_sparse(rows, 3) == 2

@@ -9,10 +9,12 @@ from homlab import (Graph, GraphMap, HomPoset, InputError, InvariantError,
                     PathCertificate, ResourceLimitError, complete, complete_flip,
                     cycle, cycle_reflection,
                     enumerate_graph_maps, enumerate_hom, find_path,
-                    induced_involution, induced_map, is_graph_map, is_multihom,
+                    induced_involution, induced_map, is_graph_map,
                     paper_f, paper_gamma1, paper_gamma2, verify_certificate)
 from homlab import hom as hom_module
 from homlab.serialize import bundled_fig3_certificate
+
+from conftest import atom_graph_map, element_sets, is_multihom
 
 
 def brute_multihoms(source, target):
@@ -56,7 +58,7 @@ def move_distances(source, target, start):
 
 
 def poset_as_set(poset):
-    return {poset.element_as_multihom(i).sets for i in range(len(poset))}
+    return {element_sets(poset, i) for i in range(len(poset))}
 
 
 def brute_components(poset):
@@ -102,7 +104,7 @@ class TestEnumerateHom:
 
     def test_atoms_are_the_graph_maps(self, K2, K3, hom_k2_k3):
         assert len(hom_k2_k3.atoms) == 6
-        atom_maps = {hom_k2_k3.atom_as_graph_map(i).assignment
+        atom_maps = {atom_graph_map(hom_k2_k3, i).assignment
                      for i in hom_k2_k3.atoms}
         assert atom_maps == set(enumerate_graph_maps(K2, K3))
 
@@ -123,7 +125,7 @@ class TestEnumerateHom:
 
     def test_every_element_is_a_multihom(self, K2, K3, hom_k2_k3):
         for i in range(len(hom_k2_k3)):
-            assert is_multihom(hom_k2_k3.element_as_multihom(i), K2, K3)
+            assert is_multihom(element_sets(hom_k2_k3, i), K2, K3)
 
     def test_empty_hom(self, K2):
         poset = enumerate_hom(complete(3), K2)
@@ -155,7 +157,7 @@ class TestEnumerateHom:
             return tuple(tuple(sorted(map(target.index, s))) for s in sets)
 
         expected = sorted(brute_multihoms(source, target), key=key)
-        assert [poset.element_as_multihom(i).sets for i in range(len(poset))] == expected
+        assert [element_sets(poset, i) for i in range(len(poset))] == expected
         n = len(poset)
         assert enumerate_hom(source, target, max_elements=n).elements == poset.elements
         if n:
@@ -324,8 +326,8 @@ class TestComponents:
         p = hom_k2_k3
         for i in range(len(p)):
             for j in range(len(p)):
-                a = p.element_as_multihom(i).sets
-                b = p.element_as_multihom(j).sets
+                a = element_sets(p, i)
+                b = element_sets(p, j)
                 assert p.leq(i, j) == all(x <= y for x, y in zip(a, b))
 
 
@@ -351,7 +353,7 @@ class TestInducedInvolution:
     def test_action_is_precomposition(self, K2, K3, hom_k2_k3, hom_k2_k3_swap):
         swap = complete_flip(2)
         for i in hom_k2_k3.atoms:
-            phi = hom_k2_k3.atom_as_graph_map(i)
+            phi = atom_graph_map(hom_k2_k3, i)
             image = phi.compose(swap.involution)
             assert hom_k2_k3_swap.involution[i] == \
                 hom_k2_k3.index_of_graph_map(image)
@@ -521,8 +523,8 @@ class TestFindPath:
         start_idx = poset.atoms[0]
         end_idx = max(a for a in poset.atoms
                       if poset.same_component(a, start_idx))
-        return (poset.atom_as_graph_map(start_idx),
-                poset.atom_as_graph_map(end_idx))
+        return (atom_graph_map(poset, start_idx),
+                atom_graph_map(poset, end_idx))
 
     def test_round_trip_through_verifier(self, K3, C5):
         start, end = self._connected_endpoints(C5, K3)
@@ -588,7 +590,7 @@ class TestFindPath:
         if not poset.atoms:
             return
         i, j = (data.draw(st.sampled_from(poset.atoms)) for _ in range(2))
-        phi, psi = poset.atom_as_graph_map(i), poset.atom_as_graph_map(j)
+        phi, psi = atom_graph_map(poset, i), atom_graph_map(poset, j)
         cert = find_path(source, target, phi, psi)
         assert (cert is not None) == poset.same_component(i, j)
         dist = move_distances(source, target, phi.assignment)
