@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import FreenessError, InputError, InvariantError, ResourceLimitError
 from .gf2 import in_column_span, pivots
-from .hom import HomPoset, default_max_elements
+from .hom import HomPoset, _find, _row_keys, default_max_elements
 
 __all__ = [
     "CellComplex",
@@ -123,39 +123,26 @@ class CellComplex:
     n_simplices = n_cells
 
 
-class _Keys:
-    """The simplices of one dimension, searchable by the key
-    ``parent * n + last``: the position of the face omitting the last vertex
-    in the dimension below, and the position of the last vertex among the
-    ``n`` vertices.  The keys must ascend strictly."""
-
-    def __init__(self, parent: np.ndarray, last: np.ndarray, n: int):
-        self.n = n
-        self.keys = parent * n + last
-
-    def find(self, parent: np.ndarray, last: np.ndarray) -> np.ndarray:
-        """Positions of the simplices with these keys; -1 where there is none."""
-        if not len(self.keys):
-            return np.full(len(parent), -1, dtype=np.intp)
-        wanted = parent * self.n + last
-        at = np.searchsorted(self.keys, wanted)
-        np.minimum(at, len(self.keys) - 1, out=at)
-        return np.where(self.keys[at] == wanted, at, -1)
-
-
-def _simplex_tables(names: Sequence[Sequence[tuple]], keys: Sequence[_Keys],
-                    parents: Sequence[np.ndarray], lasts: Sequence[np.ndarray]) -> tuple:
+def _simplex_tables(names: Sequence[Sequence[tuple]], parents: Sequence[np.ndarray],
+                    lasts: Sequence[np.ndarray]) -> tuple:
     """Face and top tables of the ordered simplicial complex whose d-simplex
     ``j``, named ``names[d][j]``, is the (d-1)-simplex ``parents[d][j]``
     extended by the vertex ``lasts[d][j]``.
 
+    A simplex's key is its parent's position and its last vertex
+    (``_row_keys``), and the keys of each dimension must ascend strictly.
     The face omitting the last vertex is the parent.  For ``i < d`` the face
     omitting vertex ``i`` is the parent's face ``i`` extended by the same
     last vertex, found by its key; a vertex's one face is the empty simplex,
-    the parent of every vertex.  Raises InputError on a missing face.
+    the parent of every vertex.  Raises InputError on keys out of order or
+    a missing face.
     """
     if not names:
         return [], []
+    sizes = [(len(names[d - 1]) if d else 1, len(names[0])) for d in range(len(names))]
+    keys = [_row_keys(pair, size) for pair, size in zip(zip(parents, lasts), sizes)]
+    if any((np.diff(k) <= 0).any() for k in keys):
+        raise InputError("poset.above must list ascending indices")
     faces, tops = [Table.empty(len(names[0]))], [Table.empty(len(names[0]), (2,))]
     below = np.zeros((len(names[0]), 1), dtype=np.intp)
     for d in range(1, len(names)):
@@ -163,7 +150,8 @@ def _simplex_tables(names: Sequence[Sequence[tuple]], keys: Sequence[_Keys],
         table = np.empty((n, d + 1), dtype=np.intp)
         table[:, d] = parent
         for i in range(d):
-            table[:, i] = keys[d - 1].find(below[parent, i], lasts[d])
+            table[:, i] = _find(keys[d - 1],
+                                _row_keys((below[parent, i], lasts[d]), sizes[d - 1]))
         if (table < 0).any():
             j, i = np.argwhere(table < 0)[0]
             s = names[d][j]
@@ -262,10 +250,7 @@ def order_complex(poset, max_chains: Optional[int] = None) -> CellComplex:
         extend(i, 0)
     parents = [np.frombuffer(p, dtype=np.int64).astype(np.intp, copy=False) for p in parents]
     lasts = [np.frombuffer(v, dtype=np.int64).astype(np.intp, copy=False) for v in lasts]
-    keys = [_Keys(p, v, n) for p, v in zip(parents, lasts)]
-    if any((np.diff(k.keys) <= 0).any() for k in keys):
-        raise InputError("poset.above must list ascending indices")
-    return CellComplex(levels, *_simplex_tables(levels, keys, parents, lasts))
+    return CellComplex(levels, *_simplex_tables(levels, parents, lasts))
 
 
 def hom_complex(poset: HomPoset, max_cells: Optional[int] = None) -> CellComplex:
@@ -345,13 +330,6 @@ def coboundary(c: CocycleClass) -> CocycleClass:
                                             x.n_cells(k + 1)))
 
 
-def _same_rows(a: Sequence[np.ndarray], b: Sequence[np.ndarray]) -> bool:
-    """Whether the aligned columns ``a`` and ``b`` hold the same rows, as
-    multisets."""
-    oa, ob = np.lexsort(a[::-1]), np.lexsort(b[::-1])
-    return all(np.array_equal(p[oa], q[ob]) for p, q in zip(a, b))
-
-
 def _boundary_squares_to_zero(x: CellComplex) -> bool:
     """Whether every face of a face of each cell is met an even number of
     times, i.e. the mod-2 boundary squares to zero."""
@@ -363,7 +341,8 @@ def _boundary_squares_to_zero(x: CellComplex) -> bool:
         before = np.cumsum(lengths) - lengths
         at = np.repeat(inner.starts[outer.entries] - before, lengths)
         grand = inner.entries[at + np.arange(lengths.sum())]
-        keys = np.repeat(outer.owner(), lengths) * x.n_cells(d - 2) + grand
+        keys = _row_keys((np.repeat(outer.owner(), lengths), grand),
+                         (x.n_cells(d), x.n_cells(d - 2)))
         if (np.unique(keys, return_counts=True)[1] & 1).any():
             return False
     return True
@@ -413,23 +392,26 @@ def quotient_with_w1(x: CellComplex, tau):
     for d in range(1, len(lifts)):
         face, top = x.faces[d], x.tops[d]
         face_owner, top_owner = face.owner(), top.owner()
-        lower = image[d - 1]
-        if not (_same_rows([image[d][face_owner], lower[face.entries]],
-                           [face_owner, face.entries])
-                and _same_rows([image[d][top_owner], lower[top.entries[:, 0]],
-                                image[1][top.entries[:, 1]]],
-                               [top_owner, top.entries[:, 0], top.entries[:, 1]])):
+        img, lower = image[d], image[d - 1]
+        # tau maps the face rows and top rows onto themselves, as multisets
+        sizes = (len(img), len(lower), len(image[1]))
+        pairs = [(_row_keys((img[face_owner], lower[face.entries]), sizes[:2]),
+                  _row_keys((face_owner, face.entries), sizes[:2])),
+                 (_row_keys((img[top_owner], lower[top.entries[:, 0]],
+                             image[1][top.entries[:, 1]]), sizes),
+                  _row_keys((top_owner, *top.entries.T), sizes))]
+        if not all(np.array_equal(np.sort(a), np.sort(b)) for a, b in pairs):
             raise InputError(f"involution does not commute with the faces of "
                              f"the {d}-cells")
         n, m = len(lifts[d]), len(lifts[d - 1])
         # the lift rows' (orbit, face orbit) pairs met an odd number of times
-        lift = image[d][face_owner] > face_owner
-        keys, counts = np.unique(orbit_of[d][face_owner[lift]] * m
-                                 + orbit_of[d - 1][face.entries[lift]],
+        lift = img[face_owner] > face_owner
+        keys, counts = np.unique(_row_keys((orbit_of[d][face_owner[lift]],
+                                            orbit_of[d - 1][face.entries[lift]]), (n, m)),
                                  return_counts=True)
         keys = keys[counts % 2 == 1]
         faces.append(Table.from_owners(keys // m, keys % m, n))
-        lift = image[d][top_owner] > top_owner
+        lift = img[top_owner] > top_owner
         tops.append(Table.from_owners(
             orbit_of[d][top_owner[lift]],
             np.stack([orbit_of[d - 1][top.entries[lift, 0]],

@@ -11,6 +11,7 @@ The canonical element order is lexicographic on the sequence of color sets
 from __future__ import annotations
 
 import copy
+import math
 import os
 from collections import deque
 from dataclasses import dataclass
@@ -116,20 +117,29 @@ def _mask_dtype(colors: int) -> np.dtype:
     return np.dtype(object)
 
 
-def _rank_dtype(count: int) -> np.dtype:
-    """The narrowest big-endian unsigned type for ranks below ``count``;
-    big-endian, so that a row's bytes compare as its ranks do."""
-    for size in (1, 2, 4):
-        if count <= 1 << 8 * size:
-            return np.dtype(f">u{size}")
-    return np.dtype(">u8")
+def _row_keys(columns, sizes) -> np.ndarray:
+    """The key of every row of the index columns ``columns``, column ``v``
+    in ``range(sizes[v])``: the row read as a mixed-radix number, built by
+    Horner's rule one column at a time, so keys order as the rows do
+    lexicographically.  int64 when the product of ``sizes`` is below 2**63,
+    else Python ints (``object``)."""
+    dtype = np.dtype(np.int64) if math.prod(sizes) < 2**63 else np.dtype(object)
+    columns = iter(columns)
+    keys = next(columns).astype(dtype)
+    for column, size in zip(columns, sizes[1:]):
+        keys *= size
+        keys += column
+    return keys
 
 
-def _keys(ranks: np.ndarray) -> np.ndarray:
-    """One bytes key per row of ``ranks``; keys order as the rows do
-    lexicographically."""
-    ranks = np.ascontiguousarray(ranks)
-    return ranks.view(np.dtype((np.void, ranks.itemsize * ranks.shape[1]))).ravel()
+def _find(keys: np.ndarray, wanted: np.ndarray) -> np.ndarray:
+    """Per key of ``wanted``, its position in the ascending ``keys``, or -1."""
+    if not len(keys):
+        return np.full(len(wanted), -1, dtype=np.intp)
+    at = np.searchsorted(keys, wanted)
+    np.minimum(at, len(keys) - 1, out=at)
+    at[keys[at] != wanted] = -1
+    return at
 
 
 def _hooked_roots(n: int, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
@@ -162,9 +172,9 @@ class _Rows:
     first use.  Copies of a poset share one, and with it every view.
 
     Rows are looked up by key: each mask that occurs is ranked in canonical
-    set order (``_mask_key``), and a row's ranks, as big-endian bytes, are
-    its key, so the keys of the rows ascend and ``np.searchsorted`` finds a
-    row's position (``find``).
+    set order (``_mask_key``), and a row's key is its ranks read as a number
+    in radix the number of ranks (``_row_keys``), so the keys of the rows
+    ascend and ``_find`` finds a row's position (``find``).
     """
 
     def __init__(self, source: Graph, target: Graph, rows: np.ndarray):
@@ -198,24 +208,25 @@ class _Rows:
         """``rows`` with each mask replaced by its rank."""
         values = np.array(sorted(self.rank), dtype=self.rows.dtype)
         table = np.array([self.rank[m] for m in values.tolist()],
-                         dtype=_rank_dtype(len(values)))
+                         dtype=np.min_scalar_type(max(len(values) - 1, 0)))
         out = np.empty(self.rows.shape, dtype=table.dtype)
         for v in range(out.shape[1]):
             out[:, v] = table[np.searchsorted(values, self.rows[:, v])]
         return out
 
     @cached_property
-    def keys(self) -> np.ndarray:
-        return _keys(self.ranks)
+    def sizes(self) -> list:
+        """The radix of every column of a key."""
+        return [len(self.rank)] * self.rows.shape[1]
 
-    def find(self, ranks: np.ndarray) -> np.ndarray:
-        """Per row of ranks (of the type of ``ranks``), the position of the
-        element with them, or -1."""
-        keys, wanted = self.keys, _keys(ranks)
-        if not len(keys):
-            return np.full(len(wanted), -1, dtype=np.intp)
-        at = np.minimum(np.searchsorted(keys, wanted), len(keys) - 1)
-        return np.where(keys[at] == wanted, at, -1)
+    def keys(self) -> np.ndarray:
+        """The key of every row, ascending."""
+        return _row_keys(self.ranks.T, self.sizes)
+
+    def find(self, columns) -> np.ndarray:
+        """Per row of ranks, given as one array per vertex, the position of
+        the element with them, or -1."""
+        return _find(self.keys(), _row_keys(columns, self.sizes))
 
     def find_masks(self, masks: np.ndarray) -> np.ndarray:
         """Per row of color masks, the position of the element, or -1."""
@@ -223,7 +234,7 @@ class _Rows:
         known = [all(m in rank for m in row) for row in rows]
         ranks = np.array([[rank.get(m, 0) for m in row] for row in rows],
                          dtype=self.ranks.dtype).reshape(masks.shape)
-        return np.where(known, self.find(ranks), -1)
+        return np.where(known, self.find(ranks.T), -1)
 
     @cached_property
     def by_rank(self) -> tuple:
@@ -231,9 +242,8 @@ class _Rows:
         singleton), where they start among the ranks of all the faces (one
         color dropped, by color), those ranks, and the ranks of its largest
         color and of its two largest colors."""
-        rank = self.rank
+        rank, dtype = self.rank, self.ranks.dtype
         colors = [_mask_key(m) for m in rank]
-        dtype = _rank_dtype(len(rank))
         count = np.array([len(c) if len(c) > 1 else 0 for c in colors],
                          dtype=np.min_scalar_type(len(self.target.vertices)))
         faces = [rank[m ^ 1 << c] for m, cs in zip(rank, colors) if len(cs) > 1 for c in cs]
@@ -245,27 +255,32 @@ class _Rows:
     def cell_relation(self) -> tuple:
         """See ``HomPoset.cell_relation``."""
         count, first, drops, peak, pair = self.by_rank
-        ranks, flat = self.ranks, self.ranks.ravel()
+        keys, ranks, flat = self.keys(), self.ranks, self.ranks.ravel()
         n, ns = ranks.shape
+        # a vertex's place value in a key: the key of its unit row
+        weight = _row_keys(np.eye(ns, dtype=np.intp), self.sizes)
         # the faces per element and vertex (flat position element * ns +
-        # vertex), then by color
+        # vertex), then by color; a face changes one rank of its cell, and
+        # its key by the change times that vertex's place value
         count = count[flat]
         ends = np.cumsum(count, dtype=np.intp)
-        owner, vertex = np.divmod(np.repeat(np.arange(n * ns), count), ns)
-        step = ranks[owner]
-        step[np.arange(len(owner)), vertex] = drops[
-            np.repeat(first[flat] - ends + count, count) + np.arange(len(owner))]
-        faces = self.find(step)
-        del step, vertex
-        # per set of two colors or more: its last face drops its largest color
+        at = np.repeat(np.arange(n * ns), count)
+        owner, vertex = np.divmod(at, ns)
+        new = drops[np.repeat(first[flat] - ends + count, count) + np.arange(len(at))]
+        faces = _find(keys, keys[owner] + (new.astype(keys.dtype) - flat[at]) * weight[vertex])
+        del at, new, vertex
+        # per set of two colors or more: its last face drops its largest
+        # color, and its 1-cell takes the largest color of every set but
+        # the two largest of this one
         sets = np.flatnonzero(count)
-        edge = peak[ranks[sets // ns]]
-        edge[np.arange(len(sets)), sets % ns] = pair[flat[sets]]
-        tops = np.stack([faces[ends[sets] - 1], self.find(edge)], axis=1)
+        top_owner, vertex = np.divmod(sets, ns)
+        edge = (pair[flat[sets]].astype(keys.dtype) - peak[flat[sets]]) * weight[vertex]
+        edge += _row_keys((peak[c] for c in ranks.T), self.sizes)[top_owner]
+        tops = np.stack([faces[ends[sets] - 1], _find(keys, edge)], axis=1)
         if (faces < 0).any() or (tops < 0).any():
             raise InvariantError("a face of a Hom cell is not a poset element")
-        dims = np.bincount(owner, minlength=n) - np.bincount(sets // ns, minlength=n)
-        return dims, owner, faces, sets // ns, tops
+        dims = np.bincount(owner, minlength=n) - np.bincount(top_owner, minlength=n)
+        return dims, owner, faces, top_owner, tops
 
     @cached_property
     def covers(self) -> list:
@@ -286,9 +301,10 @@ class _Rows:
         # every element's lowest atom (the lowest color of every set), and
         # the highest atom of each 1-cell (one set of two colors, the others
         # singletons): the two atoms it joins
-        lowest = self.find(np.array([rank[m & -m] for m in rank], dtype=ranks.dtype)[ranks])
+        low = np.array([rank[m & -m] for m in rank], dtype=ranks.dtype)
+        lowest = self.find(low[c] for c in ranks.T)
         ones = np.flatnonzero(count[ranks].sum(axis=1, dtype=np.intp) == 2)
-        highest = self.find(peak[ranks[ones]])
+        highest = self.find(peak[ranks[ones, v]] for v in range(ranks.shape[1]))
         number = np.empty(len(ranks), dtype=np.intp)
         number[atoms] = np.arange(len(atoms))
         root = _hooked_roots(len(atoms), number[lowest[ones]], number[highest])
@@ -551,8 +567,8 @@ def induced_involution(z: Z2Graph, poset: HomPoset) -> HomPoset:
     if not z.is_flipping:
         raise InputError("induced involution requires a flipping involution")
     rows = poset._rows
-    perm = rows.find(rows.ranks[:, [z.graph.index(z.involution(v))
-                                    for v in z.graph.vertices]])
+    perm = rows.find(rows.ranks[:, z.graph.index(z.involution(v))]
+                     for v in z.graph.vertices)
     bad = np.flatnonzero((perm < 0) | (perm == np.arange(len(perm))))
     if len(bad):
         if perm[bad[0]] < 0:

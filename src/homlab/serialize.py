@@ -17,7 +17,7 @@ from importlib import resources
 from pathlib import Path
 
 from .errors import InputError
-from .graphs import Graph, GraphMap, Z2Graph, builtin
+from .graphs import Graph, GraphMap, Z2Graph, builtin, cycle_reflection
 from .hom import PathCertificate
 
 __all__ = [
@@ -148,12 +148,8 @@ def load_involution(spec, graph: Graph = None) -> Z2Graph:
         else:
             name = spec.lower()
             if name in ("swap", "flip") and graph is not None:
-                from .graphs import complete_flip
-                z = complete_flip(len(graph.vertices))
-                if z.graph != graph:
-                    z = Z2Graph.build(graph, _swap_first_two(graph))
+                z = Z2Graph.build(graph, _swap_first_two(graph))
             elif name == "reflection" and graph is not None:
-                from .graphs import cycle_reflection
                 z = cycle_reflection(len(graph.vertices))
             else:
                 got = builtin(spec)
@@ -166,6 +162,8 @@ def load_involution(spec, graph: Graph = None) -> Z2Graph:
 
 
 def _swap_first_two(g: Graph) -> dict:
+    if len(g.vertices) < 2:
+        raise InputError("swap needs a graph with at least 2 vertices")
     a, b = g.vertices[0], g.vertices[1]
     m = {v: v for v in g.vertices}
     m[a], m[b] = b, a

@@ -51,6 +51,12 @@ class TestSerialize:
         z = load_involution("reflection", C5)
         assert z.involution(1) == 1 and z.involution(2) == 5
 
+    @pytest.mark.parametrize("graph", [complete(1), cycle(4)])
+    def test_swap_needs_an_exchangeable_pair(self, graph):
+        # K1 has no second vertex; on C4 exchanging 1 and 2 breaks edge 2-3
+        with pytest.raises(InputError):
+            load_involution("swap", graph)
+
     def test_load_involution_mismatch(self, K3):
         with pytest.raises(InputError):
             load_involution("gamma1", K3)

@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from homlab import (CellComplex, FreenessError, HomPoset, InputError,
-                    InvariantError, betti_mod2, complete, complete_flip,
+from homlab import (CellComplex, FreenessError, Graph, HomPoset, InputError,
+                    InvariantError, Z2Graph, betti_mod2, complete, complete_flip,
                     conn_proxy, cup_power, cycle, cycle_reflection,
                     enumerate_hom, hom_complex, induced_involution,
                     is_coboundary, order_complex, paper_T, quotient_with_w1,
@@ -439,6 +439,28 @@ class TestHomComplex:
     def test_cells_at_mask_dtype_boundaries(self, K2, n, hom_cells):
         check_cells_against_tuple_walk(enumerate_hom(K2, cycle(n)), hom_cells)
 
+    @pytest.mark.parametrize("n, isolated, dtype", [
+        (62, 0, "int64"), (64, 0, "object"), (38, 1, "int64"), (38, 2, "object")])
+    def test_key_dtype_boundaries(self, n, isolated, dtype, hom_cells,
+                                  dict_involution, atom_components):
+        """Row keys are int64 while (number of ranks) ** |V(source)| is below
+        2**63 and Python ints beyond, and the answers do not depend on it.
+        Sources: the path on ``n`` vertices, reversed (which flips its
+        middle edge), beside isolated vertices, which take every set of
+        colors of K2 (three ranks in all), so that the Hom complex has
+        1-cells."""
+        vertices = list(range(n)) + [f"i{k}" for k in range(isolated)]
+        path = Graph.build(vertices, [(i, i + 1) for i in range(n - 1)])
+        z = Z2Graph.build(path, {v: n - 1 - v if isinstance(v, int) else v
+                                 for v in vertices})
+        poset = enumerate_hom(path, complete(2))
+        rows = poset._rows
+        assert (len(rows.rank) ** len(vertices) < 2**63) == (dtype == "int64")
+        assert str(rows.keys().dtype) == dtype
+        check_cells_against_tuple_walk(poset, hom_cells)
+        assert induced_involution(z, poset).involution == dict_involution(z, poset)
+        assert poset.component_labels == atom_components(poset)
+
     def test_chain_cap(self, K2):
         # the cap counts cells; sw_height passes its max_chains to it
         poset = enumerate_hom(K2, complete(7))
@@ -551,6 +573,15 @@ class TestQuotient:
         x = hexagon()
         tau = on_simplices(x, {i: (i + 3) % 6 for i in range(6)})
         tau.update({(i,): (i ^ 1,) for i in range(6)})
+        with pytest.raises(InputError):
+            quotient_with_w1(x, tau)
+
+    def test_not_commuting_with_top_pairs_raises(self):
+        # 0 <-> 3 and 1 <-> 2 send the faces of (0, 1) to those of (2, 3),
+        # but its top pair ((0,), (0, 1)) to ((3,), (2, 3)), not a top pair
+        x = simplicial_complex([[(0,), (1,), (2,), (3,)], [(0, 1), (2, 3)]])
+        tau = {(0,): (3,), (3,): (0,), (1,): (2,), (2,): (1,),
+               (0, 1): (2, 3), (2, 3): (0, 1)}
         with pytest.raises(InputError):
             quotient_with_w1(x, tau)
 
