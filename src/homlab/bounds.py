@@ -9,7 +9,7 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 from .complexes import conn_proxy, hom_complex, sw_height
-from .errors import HomlabError, InputError, InvariantError
+from .errors import InputError, InvariantError, ResourceLimitError
 from .graphs import (Graph, GraphMap, Z2Graph, chromatic_number, complete,
                      cycle, cycle_reflection, find_retraction_to_edge,
                      is_graph_map, paper_f, paper_gamma1, paper_gamma2,
@@ -265,7 +265,7 @@ def theorem1_pipeline(t: Graph, suite: Optional[Sequence[Graph]] = None) -> Pipe
 def bound_suite(t: Z2Graph, family: Sequence[Graph],
                 names: tuple = ("T", "inv")) -> list:
     """check_swt_bound across a family, full method below the element cap and
-    component method above; per-item errors are collected, not fatal."""
+    component method above; per-item input and resource errors are collected."""
     reports = []
     for k, g in enumerate(family):
         gname = graph_signature(g)
@@ -275,7 +275,7 @@ def bound_suite(t: Z2Graph, family: Sequence[Graph],
             reports.append(check_swt_bound(
                 t, g, method=method, poset=poset,
                 names=(names[0], names[1], gname)))
-        except HomlabError as exc:
+        except (InputError, ResourceLimitError) as exc:
             reports.append(BoundReport(
                 test_graph=names[0], involution=names[1], target_graph=gname,
                 chi_target=math.nan, chi_test=math.nan, bound_kind="swt",

@@ -37,7 +37,7 @@ def _export(path: str, payload: dict) -> None:
 def _cells(x: complexes.CellComplex) -> dict:
     """The cells of ``x`` per dimension, and per cell of dimension d >= 1 the
     positions in ``cells[d - 1]`` of its mod-2 boundary."""
-    return {"cells": [list(level) for level in x.cells],
+    return {"cells": [level.tolist() for level in x.cells],
             "faces": [table.rows() for table in x.faces[1:]]}
 
 

@@ -93,8 +93,8 @@ class CellComplex:
 
     def __init__(self, cells: Sequence[Sequence], faces: Sequence[Table],
                  tops: Sequence[Table]):
-        levels = [tuple(level) for level in cells]
-        while levels and not levels[-1]:
+        levels = list(cells)
+        while levels and not len(levels[-1]):
             levels.pop()
         self.cells = tuple(levels)
         self.faces = tuple(faces[:len(levels)])
@@ -288,8 +288,7 @@ def hom_complex(poset: HomPoset, max_cells: Optional[int] = None) -> CellComplex
                 zip(np.split(pos[owner[by_dim]], split),
                     np.split(pos[entries[by_dim]], split), cells)]
 
-    return CellComplex([level.tolist() for level in cells],
-                       by_dimension(face_owner, faces), by_dimension(top_owner, tops))
+    return CellComplex(cells, by_dimension(face_owner, faces), by_dimension(top_owner, tops))
 
 
 # ---------------------------------------------------------------------------
@@ -343,50 +342,61 @@ def _boundary_squares_to_zero(x: CellComplex) -> bool:
         grand = inner.entries[at + np.arange(lengths.sum())]
         keys = _row_keys((np.repeat(outer.owner(), lengths), grand),
                          (x.n_cells(d), x.n_cells(d - 2)))
-        if (np.unique(keys, return_counts=True)[1] & 1).any():
+        if len(_odd_keys(keys)):
             return False
     return True
+
+
+def _odd_keys(keys: np.ndarray) -> np.ndarray:
+    """The keys met an odd number of times, ascending."""
+    keys = np.sort(keys)
+    starts = np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1])))
+    return keys[starts[np.diff(starts, append=len(keys)) % 2 == 1]]
 
 
 def quotient_with_w1(x: CellComplex, tau):
     """Quotient of a free cellular involution, plus the twist cocycle of the
     resulting double cover.
 
-    ``tau[name]`` names the image of the cell ``name``.  tau must send
-    d-cells to d-cells, be of order two, fix no cell, and commute with the
-    face lists and top pairs.  A quotient cell is a tau-orbit of cells,
-    named by its lift (the one of lower index).  Its faces are the orbits of
-    its lift's faces, summed mod 2, so two faces in one orbit cancel; its
-    top pairs are the orbits of its lift's.  The vertex lifts are the
-    section of the cover; the degree-1 cocycle takes value 1 on an edge
-    orbit whose lift joins a vertex of the section to one outside it.
+    The cells are named by integers ascending in each dimension, and
+    ``tau[name]``, an integer array, names the image of the cell ``name``,
+    found among the names of its dimension by key.  tau must send d-cells
+    to d-cells, be of order two, fix no cell, and commute with the face
+    lists and top pairs.  A quotient cell is a tau-orbit of cells, named by
+    its lift (the one of lower index).  Its faces are the orbits of its
+    lift's faces, summed mod 2, so two faces in one orbit cancel; its top
+    pairs are the orbits of its lift's.  The vertex lifts are the section
+    of the cover; the degree-1 cocycle takes value 1 on an edge orbit whose
+    lift joins a vertex of the section to one outside it.
     """
     if x.is_empty():
         return x, CocycleClass(x, 1, np.zeros(0, dtype=np.uint8))
-    image, orbit_of, lifts = [], [], []
+    tau = np.asarray(tau)
+    if tau.ndim != 1 or tau.dtype.kind not in "iu":
+        raise InputError("tau must be an integer array indexed by cell name")
+    levels = []
     for d, level in enumerate(x.cells):
-        pos = {name: j for j, name in enumerate(level)}
-        img = np.empty(len(level), dtype=np.intp)
-        for j, name in enumerate(level):
-            try:
-                img[j] = pos[tau[name]]
-            except (KeyError, IndexError, TypeError):
-                raise InputError(f"involution does not send the {d}-cell {name!r} "
-                                 f"to a {d}-cell") from None
-        idx = np.arange(len(level))
+        names = np.asarray(level)
+        if len(names) and not (names.ndim == 1 and names.dtype.kind in "iu"
+                               and 0 <= names[0] and names[-1] < len(tau)
+                               and (names[:-1] < names[1:]).all()):
+            raise InputError(f"the {d}-cells are not named by ascending indices of tau")
+        names = names.astype(np.intp, copy=False)
+        img = _find(names, tau[names])
+        if (img < 0).any():
+            raise InputError(f"tau sends the {d}-cell {names[img.argmin()]} to no {d}-cell")
+        idx = np.arange(len(names))
         if (img[img] != idx).any():
             raise InputError("involution is not of order two")
-        fixed = np.flatnonzero(img == idx)
-        if fixed.size:
-            raise FreenessError(f"involution fixes the cell {level[fixed[0]]!r}")
+        if (img == idx).any():
+            raise FreenessError(f"involution fixes the cell {names[(img == idx).argmax()]}")
         reps = np.flatnonzero(idx < img)
-        if 2 * len(reps) != len(level):
+        if 2 * len(reps) != len(names):
             raise InvariantError("free quotient must halve each cell count")
-        orbit = np.empty(len(level), dtype=np.intp)
+        orbit = np.empty(len(names), dtype=np.intp)
         orbit[reps] = orbit[img[reps]] = np.arange(len(reps))
-        image.append(img)
-        orbit_of.append(orbit)
-        lifts.append(reps)
+        levels.append((names[reps], img, orbit, reps))
+    named, image, orbit_of, lifts = zip(*levels)
 
     faces, tops = [Table.empty(len(lifts[0]))], [Table.empty(len(lifts[0]), (2,))]
     for d in range(1, len(lifts)):
@@ -406,18 +416,15 @@ def quotient_with_w1(x: CellComplex, tau):
         n, m = len(lifts[d]), len(lifts[d - 1])
         # the lift rows' (orbit, face orbit) pairs met an odd number of times
         lift = img[face_owner] > face_owner
-        keys, counts = np.unique(_row_keys((orbit_of[d][face_owner[lift]],
-                                            orbit_of[d - 1][face.entries[lift]]), (n, m)),
-                                 return_counts=True)
-        keys = keys[counts % 2 == 1]
+        keys = _odd_keys(_row_keys((orbit_of[d][face_owner[lift]],
+                                    orbit_of[d - 1][face.entries[lift]]), (n, m)))
         faces.append(Table.from_owners(keys // m, keys % m, n))
         lift = img[top_owner] > top_owner
         tops.append(Table.from_owners(
             orbit_of[d][top_owner[lift]],
             np.stack([orbit_of[d - 1][top.entries[lift, 0]],
                       orbit_of[1][top.entries[lift, 1]]], axis=1), n))
-    quotient = CellComplex([[level[j] for j in reps]
-                            for level, reps in zip(x.cells, lifts)], faces, tops)
+    quotient = CellComplex(named, faces, tops)
     if not _boundary_squares_to_zero(quotient):
         raise InvariantError("the quotient's boundary does not square to zero")
 

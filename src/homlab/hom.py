@@ -142,6 +142,12 @@ def _find(keys: np.ndarray, wanted: np.ndarray) -> np.ndarray:
     return at
 
 
+def _frozen(a: np.ndarray) -> np.ndarray:
+    """``a``, made read-only: it is shared by every copy of a poset."""
+    a.flags.writeable = False
+    return a
+
+
 def _hooked_roots(n: int, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
     """Per node of the graph on ``range(n)`` with edges ``src``-``dst``, the
     smallest node of its component.
@@ -185,13 +191,8 @@ class _Rows:
         return tuple(map(tuple, self.rows.tolist()))
 
     @cached_property
-    def atom_rows(self) -> np.ndarray:
-        rows = self.rows
-        return np.flatnonzero(((rows & (rows - 1)) == 0).all(axis=1))
-
-    @cached_property
-    def atoms(self) -> tuple:
-        return tuple(self.atom_rows.tolist())
+    def atoms(self) -> np.ndarray:
+        return _frozen(np.flatnonzero(((self.rows & (self.rows - 1)) == 0).all(axis=1)))
 
     @cached_property
     def rank(self) -> dict:
@@ -292,11 +293,9 @@ class _Rows:
         return [owner[a:b] for a, b in zip([0] + ends, ends)]
 
     @cached_property
-    def labels(self) -> tuple:
+    def labels(self) -> np.ndarray:
         """Per element, the index of the smallest atom of its component."""
-        if not len(self.rows):
-            return ()
-        atoms, rank, ranks = self.atom_rows, self.rank, self.ranks
+        atoms, rank, ranks = self.atoms, self.rank, self.ranks
         count, _, _, peak, _ = self.by_rank
         # every element's lowest atom (the lowest color of every set), and
         # the highest atom of each 1-cell (one set of two colors, the others
@@ -308,10 +307,7 @@ class _Rows:
         number = np.empty(len(ranks), dtype=np.intp)
         number[atoms] = np.arange(len(atoms))
         root = _hooked_roots(len(atoms), number[lowest[ones]], number[highest])
-        labels = atoms[root[number[lowest]]]
-        # one int object per component, not per element
-        values, which = np.unique(labels, return_inverse=True)
-        return tuple(map(values.tolist().__getitem__, which.tolist()))
+        return _frozen(atoms[root[number[lowest]]])
 
 
 class HomPoset:
@@ -321,10 +317,10 @@ class HomPoset:
     in canonical order (``_Rows``); atoms, components, the involution, the
     Hom complex's cells and the up-sets are computed on it, and elements are
     looked up in it by key.  ``elements`` (bitmask tuples) is a view built
-    on first use.  Immutable after construction.  The optional involution
-    is a permutation of element indices of order two;
-    ``induced_involution`` attaches one to a shallow copy, which shares the
-    array and every view built from it.
+    on first use.  Immutable after construction: ``atoms``, the component
+    labels and the optional involution (of order two) are read-only arrays
+    of element indices.  ``induced_involution`` attaches an involution to a
+    shallow copy, which shares the array and every view built from it.
     """
 
     def __init__(self, source: Graph, target: Graph, elements):
@@ -347,12 +343,12 @@ class HomPoset:
         return self._rows.elements
 
     @property
-    def atoms(self) -> tuple:
+    def atoms(self) -> np.ndarray:
         """Indices of the elements that are graph maps (all sets singletons)."""
         return self._rows.atoms
 
     def leq(self, i: int, j: int) -> bool:
-        return not any(x & ~y for x, y in zip(self._row(i), self._row(j)))
+        return not (self._rows.rows[i] & ~self._rows.rows[j]).any()
 
     def cell_relation(self) -> tuple:
         """The Hom complex's cells (see ``complexes.hom_complex``), one per
@@ -381,9 +377,6 @@ class HomPoset:
         found.discard(i)
         return sorted(found)
 
-    def _row(self, i: int) -> list:
-        return self._rows.rows[i].tolist()
-
     def index_of_graph_map(self, phi: GraphMap) -> int:
         atom = np.array([_atom(self.target, phi.assignment)], dtype=self._rows.rows.dtype)
         at = int(self._rows.find_masks(atom)[0])
@@ -394,7 +387,7 @@ class HomPoset:
     # -- components --------------------------------------------------------
 
     @cached_property
-    def component_labels(self) -> tuple:
+    def component_labels(self) -> np.ndarray:
         """Component id per element (id = smallest element index in the component).
 
         Ground truth is the comparability graph.  The poset is the face
@@ -412,23 +405,22 @@ class HomPoset:
 
     def components(self) -> list:
         """Partition of element indices by connected component, deterministic order."""
-        groups = {}
-        for i, lab in enumerate(self.component_labels):
-            groups.setdefault(lab, []).append(i)
-        return [groups[k] for k in sorted(groups)]
+        order = np.argsort(self.component_labels, kind="stable")
+        cuts = np.flatnonzero(np.diff(self.component_labels[order])) + 1
+        return [part.tolist() for part in np.split(order, cuts)] if len(order) else []
 
     def same_component(self, phi, psi) -> bool:
-        i = phi if isinstance(phi, int) else self.index_of_graph_map(phi)
-        j = psi if isinstance(psi, int) else self.index_of_graph_map(psi)
-        return self.component_labels[i] == self.component_labels[j]
+        i, j = (a if isinstance(a, (int, np.integer)) else self.index_of_graph_map(a)
+                for a in (phi, psi))
+        return bool(self.component_labels[i] == self.component_labels[j])
 
     def invariant_components(self) -> list:
-        """Component ids mapped to themselves by the involution."""
+        """Component ids mapped to themselves by the involution, ascending."""
         if self.involution is None:
             raise InputError("poset carries no involution")
         # every component holds an atom, and the involution maps atoms to atoms
-        labels, inv = self.component_labels, self.involution
-        return sorted({labels[i] for i in self.atoms if labels[inv[i]] == labels[i]})
+        labels = self.component_labels[np.stack([self.atoms, self.involution[self.atoms]])]
+        return sorted(set(labels[0, labels[0] == labels[1]].tolist()))
 
 
 def _candidate_sets(allowed: int, has_neighbor: bool, has_loop: bool,
@@ -552,13 +544,13 @@ def induced_involution(z: Z2Graph, poset: HomPoset) -> HomPoset:
     """Attach the involution eta -> eta o gamma to Hom(T, G).
 
     Every row is mapped through the column permutation of gamma and looked
-    up by key, so the involution is a tuple of element indices.  Returns a
-    shallow copy of ``poset`` carrying it; the copy shares the array and
-    every view built from it (tuples, covers, atoms, components), which the
-    involution does not change.  Requires a loopless target and a flipping
-    involution, which together make the action fixed-point-free; an image
-    that is not an element, or a fixed element, raises InvariantError, and
-    every element is checked.
+    up by key, so the involution is a read-only array of element indices.
+    Returns a shallow copy of ``poset`` carrying it; the copy shares the
+    array and every view built from it, which the involution does not
+    change.  Requires a loopless target and a flipping involution, which
+    together make the action fixed-point-free; an image that is not an
+    element, or a fixed element, raises InvariantError, and every element
+    is checked.
     """
     if poset.source != z.graph:
         raise InputError("involution belongs to a different graph than the Hom source")
@@ -575,7 +567,7 @@ def induced_involution(z: Z2Graph, poset: HomPoset) -> HomPoset:
             raise InvariantError("involution image is not a poset element")
         raise InvariantError(f"induced involution fixes element {bad[0]}")
     out = copy.copy(poset)
-    out.involution = tuple(perm.tolist())
+    out.involution = _frozen(perm)
     return out
 
 

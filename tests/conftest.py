@@ -152,9 +152,23 @@ def simplicial_involution(x, vertex_map):
     return {s: tuple(vertex_map[v] for v in s) for level in x.cells for s in level}
 
 
+def numbered(x, tau):
+    """``x`` with its cells named 0, 1, 2, ... in dimension order, and the
+    name-keyed map ``tau`` as the integer array ``quotient_with_w1`` takes:
+    entry ``k`` is the number of the image of cell ``k``, -1 for an image
+    that is not a cell."""
+    names = [name for level in x.cells for name in level]
+    number = {name: k for k, name in enumerate(names)}
+    starts = np.cumsum([0] + [len(level) for level in x.cells])
+    cells = [np.arange(a, b) for a, b in zip(starts, starts[1:])]
+    return (CellComplex(cells, x.faces, x.tops),
+            np.array([number.get(tau[name], -1) for name in names], dtype=np.intp))
+
+
 @pytest.fixture(scope="session")
 def on_simplices():
-    return simplicial_involution
+    """``(numbered complex, tau)`` for a vertex map on a simplicial complex."""
+    return lambda x, vertex_map: numbered(x, simplicial_involution(x, vertex_map))
 
 
 def element_index(poset):

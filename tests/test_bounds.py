@@ -3,11 +3,13 @@ from functools import cached_property
 
 import pytest
 
-from homlab import (HomPoset, InputError, PathCertificate, bound_suite, check_ht_bound,
+from homlab import (FreenessError, HomPoset, InputError, InvariantError,
+                    PathCertificate, bound_suite, bounds, check_ht_bound,
                     check_swt_bound, complete, complete_flip, connected_graphs,
                     cycle, cycle_reflection, enumerate_hom, induced_involution,
                     paper_gamma1, paper_gamma2, theorem1_pipeline,
                     theorem2_pipeline)
+from homlab.errors import ResourceLimitError
 from homlab.serialize import bundled_fig3_certificate
 
 
@@ -191,3 +193,17 @@ class TestBoundSuite:
         reports = bound_suite(complete_flip(2), [complete(3), looped])
         assert reports[0].status == "holds"
         assert reports[1].status.startswith("error:")
+
+    @pytest.mark.parametrize("error, raised", [
+        (ResourceLimitError, False), (InvariantError, True), (FreenessError, True)])
+    def test_only_input_and_resource_errors_collected(self, monkeypatch, error, raised):
+        def broken(*args, **kwargs):
+            raise error("planted")
+        monkeypatch.setattr(bounds, "sw_height", broken)
+        family = [complete(2), complete(3)]
+        if raised:
+            with pytest.raises(error):
+                bound_suite(complete_flip(2), family)
+        else:
+            reports = bound_suite(complete_flip(2), family)
+            assert [r.status for r in reports] == ["error: planted"] * 2

@@ -1,8 +1,9 @@
 import json
 
+import numpy as np
 import pytest
 
-from homlab import (FreenessError, GraphMap, InputError, InvariantError,
+from homlab import (FreenessError, GraphMap, InputError, InvariantError, bounds,
                     complete, complexes, cycle, hom, paper_T, paper_f,
                     paper_gamma1)
 from homlab.cli import main
@@ -135,6 +136,33 @@ class TestCliBasics:
         code, _, _ = run(capsys, *(a.format(out=out) for a in argv))
         assert code == 0 and made
         assert not any("elements" in vars(rows) for rows in made)
+
+    @pytest.mark.parametrize("argv", [
+        ("height", "C5", "reflection", "K4"),
+        ("height", "K2", "swap", "K5", "--export", "{out}"),
+    ], ids=["sw_height", "export"])
+    def test_cell_routes_keep_index_arrays(self, capsys, monkeypatch, tmp_path, argv):
+        """On the full height and ``height --export``, the involution, the
+        atoms, the component labels and every level of the Hom complex are
+        numpy arrays."""
+        made = {"poset": [], "complex": []}
+
+        def recorded(kind, fn):
+            def wrapper(*args, **kwargs):
+                made[kind].append(fn(*args, **kwargs))
+                return made[kind][-1]
+            return wrapper
+        monkeypatch.setattr(hom, "induced_involution",
+                            recorded("poset", hom.induced_involution))
+        monkeypatch.setattr(complexes, "hom_complex",
+                            recorded("complex", complexes.hom_complex))
+        code, _, _ = run(capsys, *(a.format(out=tmp_path / "q.json") for a in argv))
+        assert code == 0 and made["poset"] and made["complex"]
+        for poset in made["poset"]:
+            for view in (poset.involution, poset.atoms, poset.component_labels):
+                assert isinstance(view, np.ndarray)
+        for x in made["complex"]:
+            assert x.cells and all(isinstance(level, np.ndarray) for level in x.cells)
 
     def test_hom_components(self, capsys):
         code, out, _ = run(capsys, "--json", "hom", "paper_T", "K3",
@@ -348,6 +376,14 @@ class TestCliExitCodes:
         monkeypatch.setattr(complexes, "sw_height", broken)
         code, out, err = run(capsys, "--json", "height", "K2", "swap", "K3")
         assert code == 4 and out == "" and "internal error" in err
+
+    def test_sweep_internal_error_exit_four(self, capsys, monkeypatch):
+        # a failed invariant inside one sweep item is a bug, not an item error
+        def broken(*args, **kwargs):
+            raise InvariantError("planted")
+        monkeypatch.setattr(bounds, "sw_height", broken)
+        code, out, err = run(capsys, "sweep", "K2", "swap", "--max-n", "2")
+        assert code == 4 and out == "" and "InvariantError: planted" in err
 
     @pytest.mark.parametrize("argv, bad", [
         (("chrom", "{file}"), {"vertices": [1, 2, 3], "edges": [[1, 2, 3]]}),

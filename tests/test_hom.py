@@ -129,7 +129,7 @@ class TestEnumerateHom:
 
     def test_empty_hom(self, K2):
         poset = enumerate_hom(complete(3), K2)
-        assert len(poset) == 0 and poset.atoms == ()
+        assert len(poset) == 0 and poset.atoms.tolist() == []
 
     def test_cap_enforced(self, K2, K4):
         with pytest.raises(ResourceLimitError):
@@ -187,7 +187,7 @@ class TestEnumerateHom:
         assert len(poset) == 4 * n and len(poset.atoms) == 2 * n
         assert poset.elements[0] == (1, 2) and poset.elements[-1] == (1 << n - 1, 1 << n - 2)
         assert len(poset.components()) == 2 - n % 2
-        assert poset.component_labels == atom_components(poset)
+        assert np.array_equal(poset.component_labels, atom_components(poset))
 
     def test_levels_past_the_cap_are_split(self):
         """Paths into C4 are many, but no odd cycle maps to it: levels past
@@ -238,7 +238,7 @@ class TestComponents:
 
     def test_atom_route_matches_cover_route(self, C5, K3, atom_components):
         poset = enumerate_hom(C5, K3)
-        assert poset.component_labels == atom_components(poset)
+        assert np.array_equal(poset.component_labels, atom_components(poset))
 
     def test_T_k3_shape(self, hom_T_k3):
         assert len(hom_T_k3) == 2160
@@ -246,7 +246,7 @@ class TestComponents:
         assert len(hom_T_k3.components()) == 4
 
     def test_T_k3_atom_route_agrees(self, hom_T_k3, atom_components):
-        assert hom_T_k3.component_labels == atom_components(hom_T_k3)
+        assert np.array_equal(hom_T_k3.component_labels, atom_components(hom_T_k3))
 
     @settings(max_examples=80, deadline=None, derandomize=True, database=None)
     @given(st.data())
@@ -257,11 +257,17 @@ class TestComponents:
         source = data.draw(small_graphs(1, loops=True))
         target = data.draw(small_graphs(0, loops=True))
         poset = enumerate_hom(source, target)
-        assert poset.atoms == tuple(i for i, e in enumerate(poset.elements)
-                                    if all(bin(m).count("1") == 1 for m in e))
-        assert poset.component_labels == atom_components(poset)
+        assert np.array_equal(poset.atoms, tuple(
+            i for i, e in enumerate(poset.elements)
+            if all(bin(m).count("1") == 1 for m in e)))
+        assert np.array_equal(poset.component_labels, atom_components(poset))
+        # the partition, grouped element by element
+        groups = {}
+        for i, label in enumerate(atom_components(poset)):
+            groups.setdefault(label, []).append(i)
+        assert poset.components() == [groups[k] for k in sorted(groups)]
         if len(poset) <= 400:
-            assert poset.component_labels == brute_components(poset)
+            assert np.array_equal(poset.component_labels, brute_components(poset))
 
     @settings(max_examples=60, deadline=None, derandomize=True, database=None)
     @given(st.integers(1, 60).flatmap(lambda n: st.tuples(
@@ -287,7 +293,7 @@ class TestComponents:
         loop = Graph.build([0], [(0, 0)])
         target = Graph.build([0, 1, 2], [(0, 0), (1, 1), (2, 2), (0, 1)])
         poset = enumerate_hom(loop, target)
-        assert poset.component_labels == brute_components(poset) == (0, 0, 0, 3)
+        assert tuple(poset.component_labels.tolist()) == brute_components(poset) == (0, 0, 0, 3)
 
     def test_k2_c200_finds_each_one_cell_once(self, K2, atom_components, monkeypatch):
         """Two components, the atoms (x, x +- 1) with x even and with x odd;
@@ -304,7 +310,7 @@ class TestComponents:
         monkeypatch.setattr(hom_module, "_hooked_roots", counted)
         labels = poset.component_labels
         assert sorted(set(labels)) == [0, 5]
-        assert labels == brute_components(poset) == atom_components(poset)
+        assert tuple(labels.tolist()) == brute_components(poset) == atom_components(poset)
         valid = 0
         for i in poset.atoms:
             x, y = (c200.vertices[m.bit_length() - 1] for m in poset.elements[i])
@@ -321,6 +327,26 @@ class TestComponents:
         f = paper_f()
         f2 = f.compose(paper_gamma2().involution)
         assert hom_T_k3.same_component(f, f2)
+
+    def test_same_component_accepts_numpy_indices(self, hom_T_k3):
+        atoms, labels = hom_T_k3.atoms, hom_T_k3.component_labels
+        assert isinstance(atoms[0], np.integer)
+        assert hom_T_k3.same_component(np.int64(0), np.int64(1)) \
+            == hom_T_k3.same_component(0, 1)
+        # an atom of each of the four components, and one more of the first
+        firsts = [a for a in atoms if labels[a] == a]
+        other = next(a for a in atoms if labels[a] == firsts[0] and a != firsts[0])
+        assert len(firsts) == 4
+        assert hom_T_k3.same_component(firsts[0], other) is True
+        assert not any(hom_T_k3.same_component(a, b)
+                       for a in firsts for b in firsts if a != b)
+
+    def test_index_arrays_are_read_only(self, hom_T_k3):
+        z = induced_involution(paper_gamma2(), hom_T_k3)
+        for view in (z.involution, z.atoms, z.component_labels):
+            assert isinstance(view, np.ndarray) and view.dtype == np.intp
+            with pytest.raises(ValueError):
+                view[0] = 1
 
     def test_leq_is_pointwise_containment(self, hom_k2_k3):
         p = hom_k2_k3
@@ -392,7 +418,7 @@ class TestInducedInvolution:
         poset = enumerate_hom(z.graph, complete(m))
         oracle = dict_involution(z, poset)
         q = induced_involution(z, poset)
-        assert q.involution == oracle
+        assert np.array_equal(q.involution, oracle)
         labels = atom_components(poset)
         assert q.invariant_components() == sorted(
             {labels[i] for i in poset.atoms if labels[oracle[i]] == labels[i]})
@@ -587,7 +613,7 @@ class TestFindPath:
         source = data.draw(small_graphs(1, loops=True))
         target = data.draw(small_graphs(1, loops=True))
         poset = enumerate_hom(source, target)
-        if not poset.atoms:
+        if not len(poset.atoms):
             return
         i, j = (data.draw(st.sampled_from(poset.atoms)) for _ in range(2))
         phi, psi = atom_graph_map(poset, i), atom_graph_map(poset, j)

@@ -17,7 +17,7 @@ from homlab.complexes import CocycleClass, Table, coboundary, w1_height
 from homlab.errors import ResourceLimitError
 from homlab.gf2 import gf2_solvable, rank_sparse
 
-from conftest import element_sets, simplicial_complex
+from conftest import element_sets, numbered, simplicial_complex, simplicial_involution
 
 
 class RelationPoset:
@@ -335,7 +335,7 @@ def barycentric_height(poset, on_simplices) -> float:
     if len(poset) == 0:
         return -math.inf
     x = order_complex(poset)
-    _, w1 = quotient_with_w1(x, on_simplices(x, poset.involution))
+    _, w1 = quotient_with_w1(*on_simplices(x, poset.involution))
     return w1_height(w1)
 
 
@@ -458,8 +458,9 @@ class TestHomComplex:
         assert (len(rows.rank) ** len(vertices) < 2**63) == (dtype == "int64")
         assert str(rows.keys().dtype) == dtype
         check_cells_against_tuple_walk(poset, hom_cells)
-        assert induced_involution(z, poset).involution == dict_involution(z, poset)
-        assert poset.component_labels == atom_components(poset)
+        assert np.array_equal(induced_involution(z, poset).involution,
+                              dict_involution(z, poset))
+        assert np.array_equal(poset.component_labels, atom_components(poset))
 
     def test_chain_cap(self, K2):
         # the cap counts cells; sw_height passes its max_chains to it
@@ -528,7 +529,7 @@ def check_cells_against_tuple_walk(poset, hom_cells):
 class TestQuotient:
     def test_hexagon_antipodal_gives_triangle(self, on_simplices):
         x = hexagon()
-        q, w1 = quotient_with_w1(x, on_simplices(x, {i: (i + 3) % 6 for i in range(6)}))
+        q, w1 = quotient_with_w1(*on_simplices(x, {i: (i + 3) % 6 for i in range(6)}))
         assert q.n_cells(0) == 3 and q.n_cells(1) == 3
         assert betti_mod2(q) == (1, 1)
         assert w1.check_cocycle()
@@ -539,13 +540,13 @@ class TestQuotient:
         edges = [(i, (i + 1) % 6) for i in range(6)] + \
                 [(6 + i, 6 + (i + 1) % 6) for i in range(6)]
         x = simplicial_complex([verts, edges])
-        q, w1 = quotient_with_w1(x, on_simplices(x, {i: (i + 6) % 12 for i in range(12)}))
+        q, w1 = quotient_with_w1(*on_simplices(x, {i: (i + 6) % 12 for i in range(12)}))
         assert betti_mod2(q) == (1, 1)
         assert is_coboundary(w1)  # disconnected double cover, trivial twist
 
     def test_octahedron_gives_projective_plane(self, on_simplices):
         x, antipode = octahedron_subdivision()
-        q, w1 = quotient_with_w1(x, on_simplices(x, antipode))
+        q, w1 = quotient_with_w1(*on_simplices(x, antipode))
         assert betti_mod2(q) == (1, 1, 1)
         assert not is_coboundary(w1)
         assert not is_coboundary(cup_power(w1, 2))
@@ -554,27 +555,27 @@ class TestQuotient:
     def test_fixed_vertex_raises_freeness(self, on_simplices):
         x = hexagon()
         with pytest.raises(FreenessError):
-            quotient_with_w1(x, on_simplices(x, {0: 0, 3: 3, 1: 4, 4: 1, 2: 5, 5: 2}))
+            quotient_with_w1(*on_simplices(x, {0: 0, 3: 3, 1: 4, 4: 1, 2: 5, 5: 2}))
 
     def test_non_simplicial_raises(self, on_simplices):
         # vertex permutation of order two that does not send edges to edges
         x = hexagon()
         with pytest.raises(InputError):
-            quotient_with_w1(x, on_simplices(x, {0: 2, 2: 0, 1: 4, 4: 1, 3: 5, 5: 3}))
+            quotient_with_w1(*on_simplices(x, {0: 2, 2: 0, 1: 4, 4: 1, 3: 5, 5: 3}))
 
     def test_not_order_two_raises(self, on_simplices):
         x = hexagon()
         with pytest.raises(InputError):
-            quotient_with_w1(x, on_simplices(x, {i: (i + 2) % 6 for i in range(6)}))
+            quotient_with_w1(*on_simplices(x, {i: (i + 2) % 6 for i in range(6)}))
 
-    def test_not_commuting_with_faces_raises(self, on_simplices):
+    def test_not_commuting_with_faces_raises(self):
         # vertices swap within {0, 1}, {2, 3}, {4, 5} while each edge goes to
         # its opposite: every cell goes to a cell, but not face to face
         x = hexagon()
-        tau = on_simplices(x, {i: (i + 3) % 6 for i in range(6)})
+        tau = simplicial_involution(x, {i: (i + 3) % 6 for i in range(6)})
         tau.update({(i,): (i ^ 1,) for i in range(6)})
         with pytest.raises(InputError):
-            quotient_with_w1(x, tau)
+            quotient_with_w1(*numbered(x, tau))
 
     def test_not_commuting_with_top_pairs_raises(self):
         # 0 <-> 3 and 1 <-> 2 send the faces of (0, 1) to those of (2, 3),
@@ -583,7 +584,7 @@ class TestQuotient:
         tau = {(0,): (3,), (3,): (0,), (1,): (2,), (2,): (1,),
                (0, 1): (2, 3), (2, 3): (0, 1)}
         with pytest.raises(InputError):
-            quotient_with_w1(x, tau)
+            quotient_with_w1(*numbered(x, tau))
 
     def test_boundary_of_boundary_checked(self):
         # a tau-invariant cover whose 2-cells bound single edges, so their
@@ -598,15 +599,31 @@ class TestQuotient:
         tau = {"a0": "b0", "b0": "a0", "a1": "b1", "b1": "a1",
                "e": "f", "f": "e", "t": "u", "u": "t"}
         with pytest.raises(InvariantError):
-            quotient_with_w1(x, tau)
+            quotient_with_w1(*numbered(x, tau))
+
+    def test_tau_contract_checked(self, on_simplices):
+        # the hexagon's vertices are cells 0-5 and its edges 6-11
+        x, tau = on_simplices(hexagon(), {i: (i + 3) % 6 for i in range(6)})
+        assert betti_mod2(quotient_with_w1(x, tau)[0]) == (1, 1)
+        # a name past len(tau), a float tau, names that do not ascend
+        descending = CellComplex([x.cells[0][::-1], x.cells[1]], x.faces, x.tops)
+        for bad, match in [((x, tau[:-1]), "indices of tau"),
+                           ((x, tau.astype(float)), "integer array"),
+                           ((descending, tau), "ascending")]:
+            with pytest.raises(InputError, match=match):
+                quotient_with_w1(*bad)
+        # a vertex sent to an edge, an edge to a vertex, a cell to no cell
+        for cell, image in [(0, 6), (6, 0), (3, -1)]:
+            spoiled = tau.copy()
+            spoiled[cell] = image
+            with pytest.raises(InputError, match="to no"):
+                quotient_with_w1(x, spoiled)
 
     def test_halving(self, hom_k2_k4, hom_k2_k4_swap, on_simplices):
         for x, tau in [
-            (order_complex(hom_k2_k4), None),
+            on_simplices(order_complex(hom_k2_k4), hom_k2_k4_swap.involution),
             (hom_complex(hom_k2_k4_swap), hom_k2_k4_swap.involution),
         ]:
-            if tau is None:
-                tau = on_simplices(x, hom_k2_k4_swap.involution)
             q, _ = quotient_with_w1(x, tau)
             for d in range(x.dim + 1):
                 assert 2 * q.n_cells(d) == x.n_cells(d)
@@ -634,7 +651,7 @@ class TestQuotient:
             verts.sort()
             edges = sorted(((i, (i + 1) % 6) for i in range(6)))
             x = simplicial_complex([verts, edges])
-            q, w1 = quotient_with_w1(x, on_simplices(x, {i: (i + 3) % 6 for i in range(6)}))
+            q, w1 = quotient_with_w1(*on_simplices(x, {i: (i + 3) % 6 for i in range(6)}))
             assert not is_coboundary(w1)
 
 
