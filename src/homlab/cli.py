@@ -12,6 +12,8 @@ from __future__ import annotations
 import argparse
 import sys
 
+import numpy as np
+
 from . import bounds, complexes, graphs, hom, serialize
 from .errors import FreenessError, InputError, InvariantError, ResourceLimitError
 
@@ -70,11 +72,11 @@ def cmd_hom(args) -> int:
     if args.export:
         _export(args.export, _cells(complexes.hom_complex(poset)))
     if args.components:
-        comps = poset.components()
-        payload = {"size": len(poset), "atoms": len(poset.atoms),
-                   "components": [len(c) for c in comps]}
+        # component sizes in ascending label, the order of poset.components()
+        sizes = np.unique(poset.component_labels, return_counts=True)[1].tolist()
+        payload = {"size": len(poset), "atoms": len(poset.atoms), "components": sizes}
         human = (f"{len(poset)} elements, {len(poset.atoms)} atoms, "
-                 f"{len(comps)} components of sizes {[len(c) for c in comps]}")
+                 f"{len(sizes)} components of sizes {sizes}")
     else:
         payload = {"size": len(poset), "atoms": len(poset.atoms)}
         human = f"{len(poset)} elements, {len(poset.atoms)} atoms"

@@ -168,33 +168,29 @@ def _simplex_tables(names: Sequence[Sequence[tuple]], parents: Sequence[np.ndarr
 def betti_mod2(x: CellComplex, reduced: bool = False) -> tuple:
     """GF(2) Betti numbers b_0..b_dim (reduced variant subtracts one from b_0).
 
-    The boundary ranks are taken from the top dimension down, one bit row
-    per cell, with clearing (Chen & Kerber's twist): the pivot ``p`` of a
-    basis row of the d-boundaries is the highest cell of a (d-1)-boundary,
-    which is a cycle, so the boundary of ``p`` lies in the span of the
-    boundaries of lower cells and its row is skipped one dimension down.
+    The boundary ranks are taken from the top dimension down, each from
+    one dimension's face table as it is (:func:`homlab.gf2.pivots`), with
+    clearing (Chen & Kerber's twist): the pivot ``p`` of a basis row of the
+    d-boundaries is the highest cell of a (d-1)-boundary, which is a cycle,
+    so the boundary of ``p`` lies in the span of the boundaries of lower
+    cells and its row is left out one dimension down.  Most rows that stay
+    have a highest face no earlier row has, a new pivot (an apparent pair,
+    as in Bauer's Ripser), and ``pivots`` never packs those into bit rows
+    unless an XOR needs them.
     """
     if x.is_empty():
         return ()
     ranks = [0] * (x.dim + 2)
-    cleared = bytearray(x.n_cells(x.dim))
+    keep = np.ones(x.n_cells(x.dim), dtype=bool)
     for d in range(x.dim, 0, -1):
-        ranks[d], cleared = _cleared_rank(x.faces[d].rows(), cleared,
-                                          x.n_cells(d - 1))
+        found = pivots(*x.faces[d], keep)
+        ranks[d] = len(found)
+        keep = np.ones(x.n_cells(d - 1), dtype=bool)
+        keep[found] = False
     out = [x.n_cells(d) - ranks[d] - ranks[d + 1] for d in range(x.dim + 1)]
     if reduced:
         out[0] -= 1
     return tuple(out)
-
-
-def _cleared_rank(rows: list, cleared: bytearray, below: int) -> tuple:
-    """GF(2) rank of the rows not marked in ``cleared``, and the marks of
-    its pivots among the ``below`` columns."""
-    found = pivots(row for row, skip in zip(rows, cleared) if not skip)
-    marks = bytearray(below)
-    for p in found:
-        marks[p] = 1
-    return len(found), marks
 
 
 # ---------------------------------------------------------------------------
@@ -485,7 +481,7 @@ def is_coboundary(c: CocycleClass) -> bool:
     x, k = c.complex, c.degree
     if not c.values.any():
         return True
-    return in_column_span(x.faces[k].rows(), c.values.tolist(), x.n_cells(k - 1))
+    return in_column_span(*x.faces[k], c.values.tolist(), x.n_cells(k - 1))
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import Phase, given, settings, strategies as st
 
 from homlab.gf2 import (gf2_rank, gf2_solvable, in_column_span, pivots, rank_sparse,
                         reduce, span)
@@ -26,6 +27,45 @@ def random_matrices(count=60, max_dim=8, seed=11):
 
 def column_sets(a):
     return [set(np.nonzero(row)[0]) for row in a]
+
+
+def csr(rows):
+    """``(starts, entries)`` of rows given as lists of columns."""
+    starts = np.cumsum([0] + [len(row) for row in rows]).astype(np.intp)
+    entries = np.array([j for row in rows for j in row], dtype=np.intp)
+    return starts, entries
+
+
+def span_pivots(rows, keep):
+    """Pivots of the kept rows by the plain route: pack every kept row (a
+    repeated column set once) and collect an echelon basis with ``span``."""
+    return set(span(sum(1 << j for j in set(row)) for row, k in zip(rows, keep) if k))
+
+
+@st.composite
+def csr_tables(draw):
+    """Rows over at most 10 columns with empty rows, repeated entries, a run
+    of rows sharing one highest column, and a random ``keep`` mask."""
+    ncols = draw(st.integers(1, 10))
+    top = draw(st.integers(0, ncols - 1))
+    rows = draw(st.lists(st.lists(st.integers(0, ncols - 1), max_size=5), max_size=10))
+    sharing = draw(st.lists(st.lists(st.integers(0, top), max_size=4), max_size=8))
+    rows = draw(st.permutations(rows + [row + [top] for row in sharing]))
+    keep = draw(st.lists(st.booleans(), min_size=len(rows), max_size=len(rows)))
+    return rows, keep
+
+
+def pivot_property(kernel, phases=tuple(Phase)):
+    """``kernel`` finds the same pivots as ``span`` on random CSR tables."""
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None,
+              phases=phases)
+    @given(csr_tables())
+    def check(table):
+        rows, keep = table
+        found = kernel(*csr(rows), np.array(keep, dtype=bool))
+        assert len(found) == len(set(found))
+        assert set(found) == span_pivots(rows, keep)
+    return check
 
 
 class TestRank:
@@ -91,7 +131,7 @@ class TestSolvable:
                 np.array_equal(a @ np.array(x, dtype=np.uint8) % 2, b)
                 for x in itertools.product((0, 1), repeat=n)
             )
-            assert in_column_span(column_sets(a), b.tolist(), n) == brute
+            assert in_column_span(*csr(column_sets(a)), b.tolist(), n) == brute
 
     def test_zero_rhs_always_solvable(self):
         assert gf2_solvable(np.zeros((3, 0), dtype=np.uint8), np.zeros(3))
@@ -107,7 +147,7 @@ class TestSolvable:
 class TestSparse:
     def test_pivots_count_the_rank(self):
         for a in random_matrices(seed=17):
-            found = pivots(column_sets(a))
+            found = pivots(*csr(column_sets(a)))
             assert len(found) == len(set(found)) == oracle_rank(a)
             assert all(0 <= p < a.shape[1] for p in found)
 
@@ -118,6 +158,29 @@ class TestSparse:
     def test_repeated_column_set_once(self):
         # the row [0, 0, 1] is {0, 1}: a repeated column does not cancel
         assert rank_sparse([[0, 0, 1], [1]], 2) == 2
+
+    def test_pivots_match_span_oracle(self):
+        pivot_property(pivots)()
+
+    def test_every_case_in_one_table(self):
+        # empty rows, a repeated entry, four rows with highest column 2
+        rows = [[], [2, 2], [0, 2], [1], [1, 2], [2], [0, 0, 1], []]
+        for keep in itertools.product((False, True), repeat=len(rows)):
+            assert set(pivots(*csr(rows), np.array(keep))) == span_pivots(rows, keep)
+        assert sorted(pivots(*csr(rows))) == [0, 1, 2]
+
+    def test_planted_defects_fail_the_property(self):
+        def ignores_keep(starts, entries, keep):
+            return pivots(starts, entries)
+
+        def distinct_tops_only(starts, entries, keep):
+            # as if every row after the first at a highest column reduced to 0
+            return sorted({max(entries[a:b]) for a, b, k in zip(starts, starts[1:], keep)
+                           if k and b > a})
+
+        for kernel in (ignores_keep, distinct_tops_only):
+            with pytest.raises(AssertionError):
+                pivot_property(kernel, phases=(Phase.generate,))()
 
     def test_wide_matrix(self):
         n = 10_005

@@ -219,6 +219,32 @@ class TestBetti:
             assert betti_mod2(x) == tuple(x.n_cells(d) - ranks[d] - ranks[d + 1]
                                           for d in range(x.dim + 1))
 
+    def test_apparent_pivots_stay_unpacked(self, monkeypatch):
+        """Below the top dimension of Hom(K2, K5)'s order complex nearly every
+        kept row has a highest face no earlier row has, and stays unpacked;
+        the top rows of the 3-sphere sum to zero, so all of them are packed."""
+        from homlab import complexes, gf2
+
+        pack, pivots = gf2._pack, gf2.pivots
+        calls = []  # per boundary rank: [rows kept, rows packed]
+
+        def counting_pack(row):
+            calls[-1][1] += 1
+            return pack(row)
+
+        def counting_pivots(starts, entries, keep):
+            calls.append([int(keep.sum()), 0])
+            return pivots(starts, entries, keep)
+
+        monkeypatch.setattr(gf2, "_pack", counting_pack)
+        monkeypatch.setattr(complexes, "pivots", counting_pivots)
+        x = order_complex(enumerate_hom(complete(2), complete(5)))
+        assert betti_mod2(x) == (1, 0, 0, 1)
+        assert [kept for kept, _ in calls] == [960, 961, 179]
+        top, *lower = calls
+        assert top == [960, 960]
+        assert 10 * sum(packed for _, packed in lower) < sum(kept for kept, _ in lower)
+
 class TestOrderComplex:
     def test_total_order_gives_full_simplex(self):
         x = order_complex_from_relation(4, lambda i, j: i <= j)
