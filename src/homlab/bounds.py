@@ -105,18 +105,23 @@ def check_swt_bound(t: Z2Graph, g: Graph, method: str = "full",
     )
 
 
-def check_ht_bound(t: Graph, g: Graph, allow_heuristic: bool = False,
-                   names: tuple = ("T", "G")) -> BoundReport:
-    """Evaluate chi(G) >= conn(Hom(T, G)) + chi(T) using the homological proxy.
+def check_ht_bound(t: Graph, g: Graph, names: tuple = ("T", "G")) -> BoundReport:
+    """Evaluate chi(G) >= conn(Hom(T, G)) + chi(T) + 1 using the homological
+    proxy.
 
-    Without ``allow_heuristic`` only the exact proxy values (-inf, -1, 0)
-    feed the verdict; anything higher reports "inconclusive".
+    The proxy reads connectivity off GF(2) homology, so its value is an
+    upper bound on the true connectivity: "holds" is sound whenever the
+    bound holds at that value (always for an empty Hom complex), and
+    "violated" only when the value is exact (-1 or 0); otherwise the
+    verdict is "inconclusive".
     """
     conn = conn_proxy(hom_complex(enumerate_hom(t, g)))
     chi_g = chromatic_number(g)
     chi_t = chromatic_number(t)
-    if conn.exact or allow_heuristic:
-        status = _verdict(chi_g, chi_t, conn.value, True)
+    if conn.value == -math.inf or chi_g >= conn.value + chi_t + 1:
+        status = "holds"
+    elif conn.exact:
+        status = "violated"
     else:
         status = "inconclusive"
     return BoundReport(

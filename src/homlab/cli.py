@@ -171,8 +171,7 @@ def cmd_check_swt(args) -> int:
 def cmd_check_ht(args) -> int:
     t = serialize.load_graph(args.T)
     g = serialize.load_graph(args.G)
-    report = bounds.check_ht_bound(t, g, allow_heuristic=args.heuristic,
-                                   names=(str(args.T), str(args.G)))
+    report = bounds.check_ht_bound(t, g, names=(str(args.T), str(args.G)))
     return _report_exit(args, report)
 
 
@@ -282,11 +281,9 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--method", choices=["full", "component"], default="full")
     sp.set_defaults(fn=cmd_check_swt)
 
-    sp = add_parser("check-ht", help="chi(G) >= conn + chi(T) on one instance")
+    sp = add_parser("check-ht", help="chi(G) >= conn + chi(T) + 1 on one instance")
     sp.add_argument("T")
     sp.add_argument("G")
-    sp.add_argument("--heuristic", action="store_true",
-                    help="let heuristic connectivity values decide the verdict")
     sp.set_defaults(fn=cmd_check_ht)
 
     sp = add_parser("sweep", help="bound sweep over small connected graphs")

@@ -475,13 +475,16 @@ def is_coboundary(c: CocycleClass) -> bool:
     """True iff delta x = c is solvable over GF(2) (the class of c vanishes).
 
     The matrix of delta into degree k has the k-cells' face rows as its
-    rows, so c is asked as a column of values on those rows.  In degree 0
-    the rows are empty, and only the zero cochain is a coboundary.
+    rows, so c is asked as a column of values on those rows: c joins them
+    as column 0, below every (k-1)-cell, and is a coboundary exactly when
+    0 is not a pivot of their span (otherwise some sum of face rows is a
+    k-cycle on which c is 1).  No coface rows are built.  In degree 0 the
+    rows are empty, and only the zero cochain is a coboundary.
     """
     x, k = c.complex, c.degree
     if not c.values.any():
         return True
-    return in_column_span(*x.faces[k], c.values.tolist(), x.n_cells(k - 1))
+    return in_column_span(*x.faces[k], c.values)
 
 
 # ---------------------------------------------------------------------------

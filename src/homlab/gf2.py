@@ -3,47 +3,35 @@
 A matrix comes in CSR form, ``(starts, entries)``: row ``j`` lists the
 columns ``entries[starts[j]:starts[j + 1]]`` where it is 1, and a repeated
 column is set once.  This module alone turns a row into a Python int whose
-bit ``j`` is column ``j``.  A basis is a dict mapping each pivot, the
-highest set bit of a row, to that row; the rank is the number of pivots,
-and a row lies in the span exactly when it reduces to zero against the
-basis.  A bit row costs memory up to its highest set bit, and no matrix is
-ever densified or transposed.
+bit ``j`` is column ``j``, and :func:`pivots` is its one elimination loop.
+A basis is a dict mapping each pivot, the highest set bit of a row, to
+that row; a row is XORed with the basis row at its highest bit until that
+bit is a new pivot or the row is zero.  The rank is the number of pivots.
+A bit row costs memory up to its highest set bit, and no matrix is ever
+densified or transposed.
 
-:func:`pivots` packs only the rows an XOR touches.  The highest column of
-every row comes from one numpy pass; the first row at each distinct
-highest column enters the basis lazily, as its row index, and is packed
-only when it is first XORed into another row, while the remaining rows are
-packed and reduced.  Row order does not matter: the reduced row echelon
-form of a row space is unique, so every echelon basis of it has the same
-set of pivots, whatever order its rows entered in.
+The basis is built from lazy apparent pairs.  The highest column of every
+row comes from one numpy pass; the first row at each distinct highest
+column enters the basis lazily, as its row index, and is packed only when
+it is first XORed into another row, while the remaining rows are packed
+and reduced.  Row order does not matter: the reduced row echelon form of a
+row space is unique, so every echelon basis of it has the same set of
+pivots, whatever order its rows entered in.
+
+Membership goes through the same loop.  :func:`in_column_span` asks
+whether ``b`` is a sum of columns by joining it as column 0, below every
+column of the matrix.  The pivots of an echelon basis are the highest bits
+of the nonzero vectors of the row span, and the only vector whose highest
+bit is 0 is the unit vector ``e_0``.  So 0 is a pivot exactly when some
+sum of rows vanishes on every column but ``b``'s, that is, when no sum of
+columns equals ``b``.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["reduce", "span", "pivots", "in_column_span", "gf2_rank", "gf2_solvable",
-           "rank_sparse"]
-
-
-def reduce(row: int, basis: dict) -> int:
-    """What is left of ``row`` after elimination by ``basis``; 0 iff in its span."""
-    while row:
-        pivot_row = basis.get(row.bit_length() - 1)
-        if pivot_row is None:
-            return row
-        row ^= pivot_row
-    return 0
-
-
-def span(rows) -> dict:
-    """Echelon basis of the span of ``rows``, keyed by pivot."""
-    basis = {}
-    for row in rows:
-        row = reduce(row, basis)
-        if row:
-            basis[row.bit_length() - 1] = row
-    return basis
+__all__ = ["pivots", "in_column_span", "gf2_rank", "gf2_solvable", "rank_sparse"]
 
 
 def _pack(row) -> int:
@@ -89,21 +77,18 @@ def pivots(starts: np.ndarray, entries: np.ndarray, keep=None) -> list:
     return [*basis, *lazy]
 
 
-def in_column_span(starts: np.ndarray, entries: np.ndarray, b, ncols: int) -> bool:
+def in_column_span(starts: np.ndarray, entries: np.ndarray, b) -> bool:
     """Whether ``b``, one 0/1 entry per CSR row, is a sum of columns of the
-    matrix with these rows over ``ncols`` columns, i.e. whether a x = b is
-    solvable.
+    matrix with these rows, i.e. whether a x = b is solvable.
 
-    ``b`` is appended as the extra column ``ncols``: it is a sum of columns
-    exactly when no sum of rows is zero on every column but that one, that
-    is, when the extra column's unit vector is not in the row span.
+    Every column moves up by one and ``b`` becomes column 0: a row where
+    ``b`` is 1 gains a leading 0.  ``b`` is a sum of columns exactly when 0
+    is not a pivot.
     """
-    extra = 1 << ncols
-    entries = entries.tolist()
-    bounds = starts.tolist()
-    basis = span(_pack(entries[a:c]) | extra if bit else _pack(entries[a:c])
-                 for a, c, bit in zip(bounds, bounds[1:], b))
-    return reduce(extra, basis) != 0
+    b = np.asarray(b, dtype=bool)
+    entries = np.insert(entries[:starts[-1]] + 1, starts[:-1][b], 0)
+    starts = starts + np.concatenate(([0], np.cumsum(b)))
+    return 0 not in pivots(starts, entries)
 
 
 def _csr(rows) -> tuple:
@@ -129,7 +114,7 @@ def gf2_solvable(a, b) -> bool:
     b = np.asarray(b).reshape(-1) % 2
     if a.shape[0] != b.shape[0]:
         raise ValueError("dimension mismatch in gf2_solvable")
-    return in_column_span(*_csr(map(np.flatnonzero, a)), b.tolist(), a.shape[1])
+    return in_column_span(*_csr(map(np.flatnonzero, a)), b)
 
 
 def rank_sparse(rows, ncols: int) -> int:

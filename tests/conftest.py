@@ -80,6 +80,40 @@ def boundary_matrix():
     return dense_boundary_matrix
 
 
+def reduce(row: int, basis: dict) -> int:
+    """What is left of the bit row ``row`` after eager elimination by
+    ``basis``, a dict from pivot (highest set bit) to row; 0 iff in its span."""
+    while row:
+        pivot_row = basis.get(row.bit_length() - 1)
+        if pivot_row is None:
+            return row
+        row ^= pivot_row
+    return 0
+
+
+def span(rows) -> dict:
+    """Echelon basis of the span of the bit rows ``rows``, keyed by pivot:
+    every row is reduced against the rows before it, with no lazy pairs."""
+    basis = {}
+    for row in rows:
+        row = reduce(row, basis)
+        if row:
+            basis[row.bit_length() - 1] = row
+    return basis
+
+
+def eager_in_column_span(rows, b, ncols):
+    """Oracle for ``gf2.in_column_span``: whether ``b`` is a sum of columns
+    of the matrix whose rows list their columns (a repeated column set once)
+    over ``ncols`` columns.  ``b`` joins as the extra column ``ncols``,
+    above every column, and is a sum of columns iff that column's unit
+    vector is not in the rows' span."""
+    extra = 1 << ncols
+    basis = span(sum(1 << int(j) for j in set(row)) | (extra if bit else 0)
+                 for row, bit in zip(rows, b))
+    return reduce(extra, basis) != 0
+
+
 def tuple_simplex_tables(levels):
     """Oracle for the face and top tables of an ordered simplicial complex,
     as rows: each face is found by slicing its simplex's tuple and looking

@@ -3,7 +3,7 @@ from functools import cached_property
 
 import pytest
 
-from homlab import (FreenessError, HomPoset, InputError, InvariantError,
+from homlab import (ConnResult, FreenessError, HomPoset, InputError, InvariantError,
                     PathCertificate, bound_suite, bounds, check_ht_bound,
                     check_swt_bound, complete, complete_flip, connected_graphs,
                     cycle, cycle_reflection, enumerate_hom, induced_involution,
@@ -82,7 +82,7 @@ class TestCheckSwt:
 class TestCheckHt:
     def test_k2_k3(self, K2, K3):
         r = check_ht_bound(K2, K3)
-        # conn = 0 exact: 3 >= 0 + 2
+        # conn = 0 exact: 3 >= 0 + 2 + 1, equality
         assert (r.status, r.invariant_value, r.invariant_exact) == ("holds", 0, True)
 
     def test_k2_k2_disconnected(self, K2):
@@ -93,11 +93,20 @@ class TestCheckHt:
         r = check_ht_bound(complete(3), K2)
         assert r.status == "holds" and r.invariant_value == -math.inf
 
-    def test_heuristic_gate(self, K2, K4):
-        strict = check_ht_bound(K2, K4)
-        assert strict.status == "inconclusive" and not strict.invariant_exact
-        loose = check_ht_bound(K2, K4, allow_heuristic=True)
-        assert loose.status == "holds"
+    def test_upper_bound_decides_holds(self, K2, K4):
+        # conn = 1 is only an upper bound, and 4 >= 1 + 2 + 1 holds at it
+        r = check_ht_bound(K2, K4)
+        assert (r.status, r.invariant_value, r.invariant_exact) == ("holds", 1, False)
+
+    def test_inexact_value_never_violates(self, K2, K4, monkeypatch):
+        monkeypatch.setattr(bounds, "conn_proxy", lambda x: ConnResult(2, False))
+        assert check_ht_bound(K2, K4).status == "inconclusive"
+
+    def test_exact_value_one_short_violates(self, K2, monkeypatch):
+        # an exact conn = 0 with chi(G) = chi(T): 2 < 0 + 2 + 1
+        monkeypatch.setattr(bounds, "conn_proxy", lambda x: ConnResult(0, True))
+        r = check_ht_bound(K2, K2)
+        assert (r.status, r.invariant_value, r.invariant_exact) == ("violated", 0, True)
 
 
 class TestTheorem2Pipeline:

@@ -357,6 +357,10 @@ class TestCliExitCodes:
         code, _, _ = run(capsys, "frobnicate")
         assert code == 2
 
+    def test_heuristic_flag_gone(self, capsys):
+        code, out, _ = run(capsys, "check-ht", "K2", "K4", "--heuristic")
+        assert code == 2 and out == ""
+
     def test_resource_cap_exit_three(self, capsys, monkeypatch):
         monkeypatch.setenv("HOMLAB_MAX_ELEMENTS", "5")
         code, _, err = run(capsys, "hom", "K2", "K3")

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import Phase, given, settings, strategies as st
 
-from homlab.gf2 import (gf2_rank, gf2_solvable, in_column_span, pivots, rank_sparse,
-                        reduce, span)
+from homlab.gf2 import gf2_rank, gf2_solvable, in_column_span, pivots, rank_sparse
+
+from conftest import reduce, span
 
 
 def oracle_rank(a):
@@ -65,6 +66,50 @@ def pivot_property(kernel, phases=tuple(Phase)):
         found = kernel(*csr(rows), np.array(keep, dtype=bool))
         assert len(found) == len(set(found))
         assert set(found) == span_pivots(rows, keep)
+    return check
+
+
+def exhaustive_solvable(rows, b, ncols):
+    """Whether some x in GF(2)^ncols has a x = b, for the 0/1 matrix whose
+    rows list their columns (a repeated column set once)."""
+    a = np.zeros((len(rows), ncols), dtype=np.uint8)
+    for i, row in enumerate(rows):
+        a[i, row] = 1
+    return any(np.array_equal(a @ np.array(x, dtype=np.uint8) % 2, b)
+               for x in itertools.product((0, 1), repeat=ncols))
+
+
+@st.composite
+def span_problems(draw):
+    """Rows over at most 6 columns with repeated entries, a run of rows
+    sharing one highest column, and a run of empty rows where ``b`` is 1
+    (equal insert positions in ``in_column_span``); ``b`` is sometimes 0."""
+    ncols = draw(st.integers(0, 6))
+    column = st.integers(0, max(ncols - 1, 0))
+    rows = draw(st.lists(st.lists(column, max_size=4) if ncols else st.just([]),
+                         max_size=6))
+    if ncols:
+        top = draw(column)
+        sharing = draw(st.lists(st.lists(st.integers(0, top), max_size=3), max_size=4))
+        rows = draw(st.permutations(rows + [row + [top] for row in sharing]))
+    b = draw(st.lists(st.booleans(), min_size=len(rows), max_size=len(rows)))
+    at = draw(st.integers(0, len(rows)))
+    empties = draw(st.integers(0, 3))
+    rows[at:at] = [[]] * empties
+    b[at:at] = [True] * empties
+    if draw(st.integers(0, 4)) == 0:
+        b = [False] * len(rows)
+    return rows, np.array(b, dtype=np.uint8), ncols
+
+
+def span_property(kernel, phases=tuple(Phase)):
+    """``kernel(starts, entries, b)`` answers as the exhaustive solve does."""
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None,
+              phases=phases)
+    @given(span_problems())
+    def check(problem):
+        rows, b, ncols = problem
+        assert kernel(*csr(rows), b) == exhaustive_solvable(rows, b, ncols)
     return check
 
 
@@ -131,7 +176,28 @@ class TestSolvable:
                 np.array_equal(a @ np.array(x, dtype=np.uint8) % 2, b)
                 for x in itertools.product((0, 1), repeat=n)
             )
-            assert in_column_span(*csr(column_sets(a)), b.tolist(), n) == brute
+            assert in_column_span(*csr(column_sets(a)), b) == brute
+
+    def test_column_span_property(self):
+        span_property(in_column_span)()
+
+    def test_planted_defects_fail_the_column_span_property(self):
+        def unshifted(starts, entries, b):
+            # b joins column 0 of the matrix instead of a column of its own
+            b = np.asarray(b, dtype=bool)
+            entries = np.insert(entries[:starts[-1]], starts[:-1][b], 0)
+            starts = starts + np.concatenate(([0], np.cumsum(b)))
+            return 0 not in pivots(starts, entries)
+
+        def zero_is_a_pivot(starts, entries, b):
+            b = np.asarray(b, dtype=bool)
+            entries = np.insert(entries[:starts[-1]] + 1, starts[:-1][b], 0)
+            starts = starts + np.concatenate(([0], np.cumsum(b)))
+            return 0 in pivots(starts, entries)
+
+        for kernel in (unshifted, zero_is_a_pivot):
+            with pytest.raises(AssertionError):
+                span_property(kernel, phases=(Phase.generate,))()
 
     def test_zero_rhs_always_solvable(self):
         assert gf2_solvable(np.zeros((3, 0), dtype=np.uint8), np.zeros(3))
