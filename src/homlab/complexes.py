@@ -4,10 +4,11 @@ posets, free quotients with the first Stiefel-Whitney cocycle, mod-2
 
 Every complex is a :class:`CellComplex`: each cell keeps its face list (the
 cells of its mod-2 boundary) and its top pairs (which carry the cup
-product).  The face lists are the rows of the boundary ranks and of the
-coboundary tests as they are: every rank and membership question goes to
-the one GF(2) elimination in :mod:`homlab.gf2`, and no operator is ever
-stored as a dense matrix or transposed.
+product).  The face lists are the rows of the coboundary tests as they
+are; the Betti ranks read their transpose, the coface lists, built for one
+dimension at a time and dropped once that rank is taken.  Every rank and
+membership question goes to the one GF(2) elimination in
+:mod:`homlab.gf2`, and no operator is ever stored as a dense matrix.
 """
 
 from __future__ import annotations
@@ -165,27 +166,40 @@ def _simplex_tables(names: Sequence[Sequence[tuple]], parents: Sequence[np.ndarr
     return faces, tops
 
 
+def _cofaces(face: Table, n: int) -> Table:
+    """The transpose of the face table ``face`` over ``n`` cells one
+    dimension down: row ``i`` lists, ascending, the cells with ``i`` among
+    their faces."""
+    starts = np.zeros(n + 1, dtype=np.intp)
+    np.cumsum(np.bincount(face.entries, minlength=n), out=starts[1:])
+    # narrow, so that the stable sort is a radix sort
+    order = np.argsort(face.entries.astype(np.min_scalar_type(n)), kind="stable")
+    return Table(starts, face.owner()[order])
+
+
 def betti_mod2(x: CellComplex, reduced: bool = False) -> tuple:
     """GF(2) Betti numbers b_0..b_dim (reduced variant subtracts one from b_0).
 
-    The boundary ranks are taken from the top dimension down, each from
-    one dimension's face table as it is (:func:`homlab.gf2.pivots`), with
-    clearing (Chen & Kerber's twist): the pivot ``p`` of a basis row of the
-    d-boundaries is the highest cell of a (d-1)-boundary, which is a cycle,
-    so the boundary of ``p`` lies in the span of the boundaries of lower
-    cells and its row is left out one dimension down.  Most rows that stay
-    have a highest face no earlier row has, a new pivot (an apparent pair,
-    as in Bauer's Ripser), and ``pivots`` never packs those into bit rows
-    unless an XOR needs them.
+    ``rank ∂_{d+1}`` is taken as the rank of the coboundary ``δ_d``, for
+    d = 0 .. dim-1 in ascending order (:func:`homlab.gf2.pivots`), its rows
+    the coface lists of the d-cells: the transpose of ``faces[d + 1]``,
+    built for one dimension at a time.  Clearing (de Silva, Morozov &
+    Vejdemo-Johansson): the pivot ``p`` of a basis row of the d-coboundaries
+    is the highest cell of a (d+1)-coboundary, which is a cocycle, so the
+    coboundary of ``p`` lies in the span of the coboundaries of lower cells
+    and its row is left out one degree up.  The top-dimension cells are
+    never rows.  Most rows that stay have a highest coface no earlier row
+    has, a new pivot (an apparent pair, as in Bauer's Ripser), and
+    ``pivots`` never packs those into bit rows unless an XOR needs them.
     """
     if x.is_empty():
         return ()
     ranks = [0] * (x.dim + 2)
-    keep = np.ones(x.n_cells(x.dim), dtype=bool)
-    for d in range(x.dim, 0, -1):
-        found = pivots(*x.faces[d], keep)
-        ranks[d] = len(found)
-        keep = np.ones(x.n_cells(d - 1), dtype=bool)
+    keep = np.ones(x.n_cells(0), dtype=bool)
+    for d in range(x.dim):
+        found = pivots(*_cofaces(x.faces[d + 1], x.n_cells(d)), keep)
+        ranks[d + 1] = len(found)
+        keep = np.ones(x.n_cells(d + 1), dtype=bool)
         keep[found] = False
     out = [x.n_cells(d) - ranks[d] - ranks[d + 1] for d in range(x.dim + 1)]
     if reduced:

@@ -424,8 +424,9 @@ class HomPoset:
 
 
 def _candidate_sets(allowed: int, has_neighbor: bool, has_loop: bool,
-                    adjm: list) -> list:
-    """``(S, common(S))`` for every set a vertex may take, in canonical order.
+                    adjm: list, limit: float = math.inf) -> list:
+    """``(S, common(S))`` for every set a vertex may take, in canonical order,
+    or only the first ``limit`` of them.
 
     ``common(S)`` is the set of colors adjacent to every color of ``S``.  The
     sets ``S`` are the nonempty subsets of ``allowed`` with ``common(S)``
@@ -438,7 +439,7 @@ def _candidate_sets(allowed: int, has_neighbor: bool, has_loop: bool,
     full = (1 << len(adjm)) - 1
 
     def walk(s: int, common: int, rest: int) -> None:
-        while rest:
+        while rest and len(out) < limit:
             bit = rest & -rest
             rest ^= bit
             t = s | bit
@@ -468,8 +469,10 @@ def enumerate_hom(source: Graph, target: Graph,
     kept only until the last later neighbor has read them.  A level of more
     rows than the element cap, which later vertices may still thin out, is
     extended in halves, depth first, so no level holds much more than the
-    cap.  Raises ResourceLimitError when the last level would take the
-    element count past the cap, before it is allocated.
+    cap.  The last level lists each distinct ``allowed``'s candidates only
+    as far as the budget the cap leaves, weighted by the rows that share
+    it, and raises ResourceLimitError as soon as the running count passes
+    the cap, before the level is allocated.
     """
     if not source.vertices:
         raise InputError("enumerate_hom requires a nonempty source vertex set")
@@ -488,11 +491,13 @@ def enumerate_hom(source: Graph, target: Graph,
             for v in source.vertices]
     cache = {}
 
-    def candidates(allowed: int, i: int) -> list:
+    def candidates(allowed: int, i: int, limit: float = math.inf) -> list:
         key = (allowed, kind[i])
         hit = cache.get(key)
         if hit is None:
-            hit = cache[key] = _candidate_sets(allowed, *kind[i], adjm)
+            hit = _candidate_sets(allowed, *kind[i], adjm, limit)
+            if len(hit) < limit:
+                cache[key] = hit
         return hit
 
     # a stack of (rows, the common sets later vertices read, next vertex)
@@ -503,9 +508,19 @@ def enumerate_hom(source: Graph, target: Graph,
         allowed = np.full(len(rows), full, dtype=dtype)
         for j in earlier[i]:
             allowed &= commons[j]
-        values, which = np.unique(allowed, return_inverse=True)
-        found = [candidates(a, i) for a in values.tolist()]
+        values, which, shared = np.unique(allowed, return_inverse=True, return_counts=True)
         del allowed
+        if i < ns - 1:
+            found = [candidates(a, i) for a in values.tolist()]
+        else:
+            # list each value's candidates only as far as the budget left,
+            # weighted by the rows that share the value
+            found, budget = [], cap - made
+            for a, m in zip(values.tolist(), shared.tolist()):
+                found.append(candidates(a, i, budget // m + 1))
+                budget -= m * len(found[-1])
+                if budget < 0:
+                    raise ResourceLimitError(f"Hom poset exceeds the cap of {cap} elements")
         sizes = np.fromiter(map(len, found), dtype=np.intp, count=len(found))
         counts = sizes[which]
         total = int(counts.sum())
@@ -516,8 +531,6 @@ def enumerate_hom(source: Graph, target: Graph,
             for part in (slice(half, None), slice(half)):
                 stack.append((rows[part], {j: c[part] for j, c in commons.items()}, i))
             continue
-        if i == ns - 1 and made + total > cap:
-            raise ResourceLimitError(f"Hom poset exceeds the cap of {cap} elements")
         # new row t extends old row r with candidate t - first[r] of r's list
         starts = np.cumsum(sizes) - sizes
         pick = np.repeat(starts[which] - (np.cumsum(counts) - counts), counts)

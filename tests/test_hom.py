@@ -209,6 +209,25 @@ class TestEnumerateHom:
         with pytest.raises(ResourceLimitError):
             enumerate_hom(cycle(7), cycle(7), max_elements=13)
 
+    def test_last_level_lists_candidates_within_the_cap(self, K2, monkeypatch):
+        """K2 -> K14 has about 3^14 elements.  Past the first vertex's
+        2^14 - 2 sets, the last vertex lists its candidates only as far as
+        the cap allows before ResourceLimitError."""
+        cap, listed = 1000, []
+        candidate_sets = hom_module._candidate_sets
+
+        def counted(*args):
+            found = candidate_sets(*args)
+            listed.append(len(found))
+            return found
+
+        monkeypatch.setattr(hom_module, "_candidate_sets", counted)
+        with pytest.raises(ResourceLimitError):
+            enumerate_hom(K2, complete(14), max_elements=cap)
+        first, *last = listed
+        assert first == 2**14 - 2
+        assert sum(last) <= 2 * cap + 1
+
     def test_looped_source_constant_maps(self):
         from homlab import Graph
         loop = Graph.build([1], [(1, 1)])

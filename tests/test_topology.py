@@ -40,6 +40,14 @@ def order_complex_from_relation(n, leq, max_chains=None):
     return order_complex(RelationPoset(n, leq), max_chains)
 
 
+def betti_from_every_rank(x):
+    """Oracle: Betti numbers from the ranks of every boundary's face rows,
+    with no clearing."""
+    ranks = [rank_sparse(x.faces[d].rows(), x.n_cells(d - 1)) if 1 <= d <= x.dim else 0
+             for d in range(x.dim + 2)]
+    return tuple(x.n_cells(d) - ranks[d] - ranks[d + 1] for d in range(x.dim + 1))
+
+
 def hexagon():
     verts = [(i,) for i in range(6)]
     edges = [(i, (i + 1) % 6) for i in range(6)]
@@ -215,36 +223,63 @@ class TestBetti:
         """Betti numbers from the ranks of all boundary rows, none skipped."""
         poset = enumerate_hom(source, complete(m))
         for x in (hom_complex(poset), order_complex(poset)):
-            ranks = [rank_sparse(x.faces[d].rows(), x.n_cells(d - 1))
-                     if 1 <= d <= x.dim else 0 for d in range(x.dim + 2)]
-            assert betti_mod2(x) == tuple(x.n_cells(d) - ranks[d] - ranks[d + 1]
-                                          for d in range(x.dim + 1))
+            assert betti_mod2(x) == betti_from_every_rank(x)
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(st.data())
+    def test_clearing_matches_every_rank_on_small_graphs(self, small_graphs, data):
+        source = data.draw(small_graphs(1, loops=True))
+        target = data.draw(small_graphs(0, loops=True))
+        try:
+            poset = enumerate_hom(source, target, max_elements=400)
+            xs = hom_complex(poset), order_complex(poset, max_chains=20000)
+        except ResourceLimitError:
+            assume(False)
+        for x in xs:
+            assert betti_mod2(x) == betti_from_every_rank(x)
 
     def test_apparent_pivots_stay_unpacked(self, monkeypatch):
-        """Below the top dimension of Hom(K2, K5)'s order complex nearly every
-        kept row has a highest face no earlier row has, and stays unpacked;
-        the top rows of the 3-sphere sum to zero, so all of them are packed."""
+        """Coboundary ranks of Hom(K2, K5)'s order complex go up from degree
+        0; clearing leaves every top simplex out of the rows, and in degrees
+        1 and 2 nearly every kept row has a highest coface no earlier row
+        has, and stays unpacked."""
         from homlab import complexes, gf2
 
         pack, pivots = gf2._pack, gf2.pivots
-        calls = []  # per boundary rank: [rows kept, rows packed]
+        calls = []  # per coboundary rank: [degree, rows kept, rows packed]
 
         def counting_pack(row):
-            calls[-1][1] += 1
+            calls[-1][2] += 1
             return pack(row)
 
         def counting_pivots(starts, entries, keep):
-            calls.append([int(keep.sum()), 0])
+            degree = [x.n_cells(d) for d in range(x.dim + 1)].index(len(starts) - 1)
+            calls.append([degree, int(keep.sum()), 0])
             return pivots(starts, entries, keep)
 
         monkeypatch.setattr(gf2, "_pack", counting_pack)
         monkeypatch.setattr(complexes, "pivots", counting_pivots)
         x = order_complex(enumerate_hom(complete(2), complete(5)))
+        assert [x.n_cells(d) for d in range(4)] == [180, 1140, 1920, 960]
         assert betti_mod2(x) == (1, 0, 0, 1)
-        assert [kept for kept, _ in calls] == [960, 961, 179]
-        top, *lower = calls
-        assert top == [960, 960]
-        assert 10 * sum(packed for _, packed in lower) < sum(kept for kept, _ in lower)
+        assert [(degree, kept) for degree, kept, _ in calls] == [(0, 180), (1, 961), (2, 959)]
+        upper = calls[1:]
+        assert 10 * sum(packed for *_, packed in upper) < sum(kept for _, kept, _ in upper)
+
+    def test_memory_follows_the_face_tables(self):
+        """The ranks of Hom(K2, K6)'s order complex hold less than 2.5 times
+        the bytes of its face tables at any time."""
+        import tracemalloc
+        x = order_complex(enumerate_hom(complete(2), complete(6)))
+        tables = sum(t.starts.nbytes + t.entries.nbytes for t in x.faces)
+        tracemalloc.start()
+        try:
+            assert betti_mod2(x) == (1, 0, 0, 0, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.5 * tables
+
 
 class TestOrderComplex:
     def test_total_order_gives_full_simplex(self):
