@@ -5,7 +5,7 @@ bound sweep."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
 from .complexes import conn_proxy, hom_complex, sw_height
@@ -267,23 +267,73 @@ def theorem1_pipeline(t: Graph, suite: Optional[Sequence[Graph]] = None) -> Pipe
     return PipelineReport("theorem1", tuple(stages), all(s.passed for s in stages))
 
 
+def _stiff_core(g: Graph) -> tuple:
+    """Fold a loopless ``g`` greedily to a stiff core.
+
+    A fold removes a vertex u whose neighborhood lies inside that of
+    another vertex v (``N(u) <= N(v)``); each step takes the first such
+    pair in g's vertex order.  Returns the core, the subgraph of g induced
+    on the vertices left, in g's order, and the folds as (u, v) pairs in
+    the order they were made, each checkable in the graph left before it.
+    """
+    nbrs = {v: set(g.neighbors(v)) for v in g.vertices}
+    folds = []
+    while True:
+        fold = next(((u, v) for u in nbrs for v in nbrs
+                     if u != v and nbrs[u] <= nbrs[v]), None)
+        if fold is None:
+            break
+        folds.append(fold)
+        for w in nbrs.pop(fold[0]):
+            nbrs[w].discard(fold[0])
+    core = Graph.build(tuple(nbrs), [e for e in g.edges if e[0] in nbrs and e[1] in nbrs])
+    return core, folds
+
+
 def bound_suite(t: Z2Graph, family: Sequence[Graph],
                 names: tuple = ("T", "inv")) -> list:
-    """check_swt_bound across a family, full method below the element cap and
-    component method above; per-item input and resource errors are collected."""
+    """check_swt_bound across a family; per-item input and resource errors
+    are collected.
+
+    Each loopless target G is folded to a stiff core (``_stiff_core``).  A
+    fold G -> G - u and its inclusion are graph maps both ways, so they
+    induce Z2-maps both ways between Hom(T, G) and Hom(T, G - u): the
+    heights agree, and so do the chromatic numbers (Babson & Kozlov 2006;
+    Kozlov 2006).  Cores are keyed by their edge sets on vertex positions
+    in G's order, and within one call each key is checked once, with the
+    full method when the core's poset has at most FULL_METHOD_MAX_ELEMENTS
+    elements and the component method above; an error is reused the same
+    way.  Every G gets its core's report under its own ``target_graph``.  A
+    component witness of a folded G names a component of Hom(T, core) and
+    lists the folds that reach the core.  Looped targets are not folded.
+    """
     reports = []
-    for k, g in enumerate(family):
-        gname = graph_signature(g)
-        try:
-            poset = induced_involution(t, enumerate_hom(t.graph, g))
-            method = "full" if len(poset) <= FULL_METHOD_MAX_ELEMENTS else "component"
-            reports.append(check_swt_bound(
-                t, g, method=method, poset=poset,
-                names=(names[0], names[1], gname)))
-        except (InputError, ResourceLimitError) as exc:
-            reports.append(BoundReport(
-                test_graph=names[0], involution=names[1], target_graph=gname,
-                chi_target=math.nan, chi_test=math.nan, bound_kind="swt",
-                invariant_value=math.nan, invariant_exact=False,
-                method="error", status=f"error: {exc}"))
+    memo = {}
+    for g in family:
+        core, folds = _stiff_core(g) if g.is_loopless() else (g, [])
+        key = (len(core.vertices),
+               frozenset((core.index(u), core.index(v)) for u, v in core.edges))
+        if key not in memo:
+            memo[key] = _core_report(t, core, names)
+        report = memo[key]
+        witness = report.witness
+        if witness is not None and folds:
+            steps = ", ".join(f"{u} onto {v}" for u, v in folds)
+            witness = f"{witness} of Hom({names[0]}, core), core = G after folding {steps}"
+        reports.append(replace(report, target_graph=graph_signature(g), witness=witness))
     return reports
+
+
+def _core_report(t: Z2Graph, core: Graph, names: tuple) -> BoundReport:
+    gname = graph_signature(core)
+    try:
+        poset = induced_involution(t, enumerate_hom(t.graph, core))
+        method = "full" if len(poset) <= FULL_METHOD_MAX_ELEMENTS else "component"
+        return check_swt_bound(t, core, method=method, poset=poset,
+                               names=(names[0], names[1], gname))
+    except (InputError, ResourceLimitError) as exc:
+        return BoundReport(
+            test_graph=names[0], involution=names[1], target_graph=gname,
+            chi_target=math.nan, chi_test=math.nan, bound_kind="swt",
+            invariant_value=math.nan, invariant_exact=False,
+            method="error", status=f"error: {exc}")

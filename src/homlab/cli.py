@@ -178,6 +178,8 @@ def cmd_check_ht(args) -> int:
 def cmd_sweep(args) -> int:
     t = serialize.load_graph(args.T)
     z = serialize.load_involution(args.inv, t)
+    if args.max_n < 1:
+        raise InputError(f"--max-n must be at least 1, got {args.max_n}")
     family = []
     for n in range(1, args.max_n + 1):
         family.extend(graphs.connected_graphs(n))

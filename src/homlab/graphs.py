@@ -473,8 +473,12 @@ def builtin(name: str):
 def connected_graphs(n: int) -> list:
     """All connected loopless graphs on exactly n vertices, up to isomorphism.
 
-    Vertices are 1..n; one canonical representative per isomorphism class,
-    in a deterministic order.  Raises InputError for n < 1.
+    Vertices are 1..n; one representative per isomorphism class, in a
+    deterministic order.  Edge sets are bit masks over the vertex pairs, and
+    the masks are walked in ascending order: the first mask of a class not
+    yet marked is its smallest, so it is the representative; all of its
+    images under the n! relabelings are marked at once, and connectivity is
+    tested once per class.  Raises InputError for n < 1.
     """
     if n < 1:
         raise InputError(f"connected graphs need at least one vertex, got n = {n}")
@@ -487,18 +491,17 @@ def connected_graphs(n: int) -> list:
         [1 << pair_pos[min(perm[u], perm[v]), max(perm[u], perm[v])] for u, v in pairs]
         for perm in itertools.permutations(range(n))
     ]
-    seen = set()
+    seen = bytearray(1 << len(pairs))
     out = []
     for mask in range(1 << len(pairs)):
+        if seen[mask]:
+            continue
         present = [i for i in range(len(pairs)) if mask >> i & 1]
+        for bits in relabel:
+            seen[sum(bits[i] for i in present)] = 1
         edges = [pairs[i] for i in present]
-        if not _is_connected(n, edges):
-            continue
-        canon = min(sum(bits[i] for i in present) for bits in relabel)
-        if canon in seen:
-            continue
-        seen.add(canon)
-        out.append(Graph.build(tuple(range(1, n + 1)), [(u + 1, v + 1) for u, v in edges]))
+        if _is_connected(n, edges):
+            out.append(Graph.build(tuple(range(1, n + 1)), [(u + 1, v + 1) for u, v in edges]))
     return out
 
 

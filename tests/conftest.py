@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -330,3 +332,42 @@ def small_graphs():
         return Graph.build(range(n), [e for e, k in zip(pairs, keep) if k])
 
     return graphs
+
+
+def brute_connected_graphs(n):
+    """Oracle for ``connected_graphs``: every edge mask in ascending order,
+    kept when it is connected and the minimum of its images under all n!
+    relabelings has not been met before."""
+    if n == 1:
+        return [Graph.build((1,), [])]
+    pairs = list(itertools.combinations(range(n), 2))
+    pair_pos = {p: i for i, p in enumerate(pairs)}
+    relabel = [
+        [1 << pair_pos[min(perm[u], perm[v]), max(perm[u], perm[v])] for u, v in pairs]
+        for perm in itertools.permutations(range(n))
+    ]
+    seen = set()
+    out = []
+    for mask in range(1 << len(pairs)):
+        present = [i for i in range(len(pairs)) if mask >> i & 1]
+        edges = [pairs[i] for i in present]
+        reached, stack = {0}, [0]
+        while stack:
+            x = stack.pop()
+            for y in {v for u, v in edges if u == x} | {u for u, v in edges if v == x}:
+                if y not in reached:
+                    reached.add(y)
+                    stack.append(y)
+        if len(reached) < n:
+            continue
+        canon = min(sum(bits[i] for i in present) for bits in relabel)
+        if canon in seen:
+            continue
+        seen.add(canon)
+        out.append(Graph.build(tuple(range(1, n + 1)), [(u + 1, v + 1) for u, v in edges]))
+    return out
+
+
+@pytest.fixture(scope="session")
+def connected_oracle():
+    return brute_connected_graphs

@@ -2,6 +2,7 @@ import math
 from functools import cached_property
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from homlab import (ConnResult, FreenessError, HomPoset, InputError, InvariantError,
                     PathCertificate, bound_suite, bounds, check_ht_bound,
@@ -9,6 +10,7 @@ from homlab import (ConnResult, FreenessError, HomPoset, InputError, InvariantEr
                     cycle, cycle_reflection, enumerate_hom, induced_involution,
                     paper_gamma1, paper_gamma2, theorem1_pipeline,
                     theorem2_pipeline)
+from homlab.bounds import FULL_METHOD_MAX_ELEMENTS
 from homlab.errors import ResourceLimitError
 from homlab.serialize import bundled_fig3_certificate
 
@@ -216,3 +218,47 @@ class TestBoundSuite:
         else:
             reports = bound_suite(complete_flip(2), family)
             assert [r.status for r in reports] == ["error: planted"] * 2
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(st.data())
+    def test_folded_report_matches_direct_check(self, small_graphs, data):
+        """Folding to the stiff core keeps the height, its exactness and chi."""
+        g = data.draw(small_graphs(1, loops=False))
+        t = data.draw(st.sampled_from([complete_flip(2), cycle_reflection(5)]))
+        [folded] = bound_suite(t, [g])
+        poset = induced_involution(t, enumerate_hom(t.graph, g))
+        method = "full" if len(poset) <= FULL_METHOD_MAX_ELEMENTS else "component"
+        direct = check_swt_bound(t, g, method=method, poset=poset)
+        fields = ("status", "invariant_value", "invariant_exact", "chi_target")
+        assert ([getattr(folded, f) for f in fields]
+                == [getattr(direct, f) for f in fields])
+
+    def test_one_enumeration_per_core(self, monkeypatch):
+        # the 31 connected graphs on at most 5 vertices fold to 7 cores,
+        # and nothing is kept from one call to the next
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return enumerate_hom(*args, **kwargs)
+        monkeypatch.setattr(bounds, "enumerate_hom", counted)
+        family = [g for n in range(1, 6) for g in connected_graphs(n)]
+        for z in (complete_flip(2), cycle_reflection(5)):
+            assert len(bound_suite(z, family)) == 31
+        assert len(calls) == 2 * 7
+
+    def test_folded_witness_lists_checkable_folds(self):
+        family = [g for n in range(1, 6) for g in connected_graphs(n)]
+        reports = bound_suite(cycle_reflection(5), family, names=("C5", "reflection"))
+        folded = [(g, r.witness) for g, r in zip(family, reports)
+                  if r.witness and "core" in r.witness]
+        assert folded
+        for g, witness in folded:
+            head, steps = witness.split(", core = G after folding ")
+            assert head.endswith(" of Hom(C5, core)")
+            nbrs = {v: set(g.neighbors(v)) for v in g.vertices}
+            for step in steps.split(", "):
+                u, v = (int(x) for x in step.split(" onto "))
+                assert u != v and nbrs[u] <= nbrs[v]
+                for w in nbrs.pop(u):
+                    nbrs[w].discard(u)

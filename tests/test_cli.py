@@ -329,6 +329,13 @@ class TestCliBounds:
         assert all(r["status"] != "violated" for r in lines)
         assert "0 violations" in err
 
+    def test_sweep_six_vertices(self, capsys):
+        # 1 + 1 + 2 + 6 + 21 + 112 connected graphs, folded to 18 cores
+        code, out, _ = run(capsys, "sweep", "K2", "swap", "--max-n", "6", "--json")
+        lines = [json.loads(line) for line in out.splitlines()]
+        assert code == 0 and len(lines) == 143
+        assert all(r["status"] == "holds" for r in lines)
+
     def test_paper_theorem2(self, capsys):
         code, out, _ = run(capsys, "paper", "theorem2")
         assert code == 0
@@ -380,6 +387,11 @@ class TestCliExitCodes:
         monkeypatch.setattr(complexes, "sw_height", broken)
         code, out, err = run(capsys, "--json", "height", "K2", "swap", "K3")
         assert code == 4 and out == "" and "internal error" in err
+
+    @pytest.mark.parametrize("max_n", ["0", "-3"])
+    def test_sweep_needs_one_vertex(self, capsys, max_n):
+        code, out, err = run(capsys, "sweep", "K2", "swap", f"--max-n={max_n}")
+        assert code == 2 and out == "" and "--max-n" in err
 
     def test_sweep_internal_error_exit_four(self, capsys, monkeypatch):
         # a failed invariant inside one sweep item is a bug, not an item error

@@ -214,8 +214,13 @@ class TestBuiltins:
 
 class TestConnectedGraphs:
     def test_counts_match_known_sequence(self):
-        # connected graphs on 1..5 vertices up to isomorphism
-        assert [len(connected_graphs(n)) for n in range(1, 6)] == [1, 1, 2, 6, 21]
+        # connected graphs on 1..6 vertices up to isomorphism
+        assert [len(connected_graphs(n)) for n in range(1, 7)] == [1, 1, 2, 6, 21, 112]
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_matches_brute_force_enumeration(self, connected_oracle, n):
+        # the same representatives, graph for graph, in the same order
+        assert connected_graphs(n) == connected_oracle(n)
 
     @pytest.mark.parametrize("n", [0, -1])
     def test_no_vertices_rejected(self, n):
