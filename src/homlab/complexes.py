@@ -401,8 +401,6 @@ def quotient_with_w1(x: CellComplex, tau):
         if (img == idx).any():
             raise FreenessError(f"involution fixes the cell {names[(img == idx).argmax()]}")
         reps = np.flatnonzero(idx < img)
-        if 2 * len(reps) != len(names):
-            raise InvariantError("free quotient must halve each cell count")
         orbit = np.empty(len(names), dtype=np.intp)
         orbit[reps] = orbit[img[reps]] = np.arange(len(reps))
         levels.append((names[reps], img, orbit, reps))

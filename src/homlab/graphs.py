@@ -267,16 +267,17 @@ def chromatic_number(g: Graph):
 def find_retraction_to_edge(t: Graph) -> Optional[RetractionWitness]:
     """A retraction of ``t`` onto its first edge, when chi(t) = 2.
 
-    Built from a proper 2-coloring: each color class is sent to one endpoint
-    of the first edge in canonical order.  Returns None when chi != 2 or the
-    edge set is empty.
+    Built from a proper 2-coloring, which a graph with an edge has exactly
+    when chi = 2: each color class is sent to one endpoint of the first edge
+    in canonical order.  Returns None when chi != 2 or the edge set is
+    empty.
     """
     if t.loops():
         raise InputError("retraction search requires a loopless graph")
     if not t.edges:
         return None
     coloring = k_coloring(t, 2)
-    if coloring is None or chromatic_number(t) != 2:
+    if coloring is None:
         return None
     u, v = t.sorted_edges()[0]
     edge_graph = Graph.build((u, v), [(u, v)])

@@ -229,13 +229,18 @@ class _Rows:
         the element with them, or -1."""
         return _find(self.keys(), _row_keys(columns, self.sizes))
 
-    def find_masks(self, masks: np.ndarray) -> np.ndarray:
-        """Per row of color masks, the position of the element, or -1."""
-        rank, rows = self.rank, masks.tolist()
-        known = [all(m in rank for m in row) for row in rows]
-        ranks = np.array([[rank.get(m, 0) for m in row] for row in rows],
-                         dtype=self.ranks.dtype).reshape(masks.shape)
-        return np.where(known, self.find(ranks.T), -1)
+    def pullback(self, columns: list, codomain: "_Rows") -> np.ndarray:
+        """Per row, the position in ``codomain`` of the row made of its ranks
+        at ``columns``, or -1; another array's ranks are first looked up
+        once per distinct mask, in its ``rank`` dict."""
+        ranks = self.ranks
+        if codomain is self:
+            return self.find(ranks[:, c] for c in columns)
+        table = np.array([codomain.rank.get(m, -1) for m in self.rank], dtype=np.intp)
+        images = table[ranks[:, columns]]
+        at = codomain.find(np.maximum(images, 0).T)
+        at[(images < 0).any(axis=1)] = -1
+        return at
 
     @cached_property
     def by_rank(self) -> tuple:
@@ -323,15 +328,11 @@ class HomPoset:
     shallow copy, which shares the array and every view built from it.
     """
 
-    def __init__(self, source: Graph, target: Graph, elements):
-        """``elements``: bitmask tuples in any order, kept in canonical
-        order, or a 2-D array of mask rows already in it."""
-        if not isinstance(elements, np.ndarray):
-            canonical = sorted(elements, key=lambda e: tuple(map(_mask_key, e)))
-            elements = np.array(canonical, dtype=_mask_dtype(len(target.vertices)))
-            elements = elements.reshape(len(canonical), len(source.vertices))
+    def __init__(self, source: Graph, target: Graph, rows: np.ndarray):
+        """``rows``: a 2-D array of color masks, one row per element, in
+        canonical order."""
         self.source, self.target = source, target
-        self._rows = _Rows(source, target, elements)
+        self._rows = _Rows(source, target, rows)
         self.involution = None
 
     def __len__(self) -> int:
@@ -378,8 +379,10 @@ class HomPoset:
         return sorted(found)
 
     def index_of_graph_map(self, phi: GraphMap) -> int:
-        atom = np.array([_atom(self.target, phi.assignment)], dtype=self._rows.rows.dtype)
-        at = int(self._rows.find_masks(atom)[0])
+        rank = self._rows.rank
+        ranks = [rank.get(m, -1) for m in _atom(self.target, phi.assignment)]
+        known = phi.source == self.source and -1 not in ranks
+        at = int(self._rows.find(np.array([ranks]).T)[0]) if known else -1
         if at < 0:
             raise InputError("graph map is not an element of this Hom poset")
         return at
@@ -556,8 +559,8 @@ def enumerate_hom(source: Graph, target: Graph,
 def induced_involution(z: Z2Graph, poset: HomPoset) -> HomPoset:
     """Attach the involution eta -> eta o gamma to Hom(T, G).
 
-    Every row is mapped through the column permutation of gamma and looked
-    up by key, so the involution is a read-only array of element indices.
+    Every row is pulled back along gamma into the poset (``_Rows.pullback``),
+    so the involution is a read-only array of element indices.
     Returns a shallow copy of ``poset`` carrying it; the copy shares the
     array and every view built from it, which the involution does not
     change.  Requires a loopless target and a flipping involution, which
@@ -571,9 +574,8 @@ def induced_involution(z: Z2Graph, poset: HomPoset) -> HomPoset:
         raise InputError("induced involution requires a loopless target graph")
     if not z.is_flipping:
         raise InputError("induced involution requires a flipping involution")
-    rows = poset._rows
-    perm = rows.find(rows.ranks[:, z.graph.index(z.involution(v))]
-                     for v in z.graph.vertices)
+    perm = poset._rows.pullback([z.graph.index(z.involution(v)) for v in z.graph.vertices],
+                                poset._rows)
     bad = np.flatnonzero((perm < 0) | (perm == np.arange(len(perm))))
     if len(bad):
         if perm[bad[0]] < 0:
@@ -584,25 +586,22 @@ def induced_involution(z: Z2Graph, poset: HomPoset) -> HomPoset:
     return out
 
 
-def induced_map(f: GraphMap, poset: HomPoset,
-                codomain: Optional[HomPoset] = None):
+def induced_map(f: GraphMap, poset: HomPoset, codomain: HomPoset) -> np.ndarray:
     """Precomposition with ``f``: Hom(f.target, G) -> Hom(f.source, G).
 
-    ``poset`` must be Hom(f.target, G).  Returns the list of image elements
-    (bitmask tuples over f.source); with ``codomain`` given, returns indices
-    into it instead, each image found by key.
+    ``poset`` must be Hom(f.target, G) and ``codomain`` Hom(f.source, G).
+    Returns the index in ``codomain`` of every element's image, an intp
+    array pulled back along ``f`` (``_Rows.pullback``).
     """
     if poset.source != f.target:
         raise InputError("poset source does not match the map's target graph")
-    images = poset._rows.rows[:, [f.target.index(f(v)) for v in f.source.vertices]]
-    if codomain is None:
-        return list(map(tuple, images.tolist()))
     if codomain.source != f.source or codomain.target != poset.target:
         raise InputError("codomain poset does not match Hom(f.source, G)")
-    at = codomain._rows.find_masks(images)
+    at = poset._rows.pullback([f.target.index(f(v)) for v in f.source.vertices],
+                              codomain._rows)
     if (at < 0).any():
         raise InvariantError("precomposition image missing from codomain poset")
-    return at.tolist()
+    return at
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,8 @@ Involution file:  {"graph": <name-or-path-or-inline>, "map": {"a": "a'", ...}}
 Map file:         {"source": ..., "target": ..., "assignment": {...}}
 Certificate file: {"source": <graph>, "target": <graph>,
                    "colorings": [{"a": 1, ...}, ...]}
+
+A relative path inside a file is read from that file's directory.
 """
 
 from __future__ import annotations
@@ -76,14 +78,27 @@ def graph_from_json(obj) -> Graph:
     return Graph.build(vertices, [tuple(e) for e in edges])
 
 
-def _read_json(path) -> object:
+def _names_file(spec: str) -> bool:
+    """Whether a graph, involution or map spec names a file, not a builtin."""
+    return Path(spec).exists() or spec.endswith(".json")
+
+
+def _read_json(path, *refs: str) -> object:
+    """The JSON in the file ``path``; each string entry under a key of
+    ``refs`` that names a file is made relative to ``path``'s directory."""
     try:
         with open(path) as fh:
-            return json.load(fh)
+            obj = json.load(fh)
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from None
     except json.JSONDecodeError as exc:
         raise InputError(f"{path} is not valid JSON: {exc}") from None
+    here = Path(path).parent
+    for key in refs:
+        spec = obj.get(key) if isinstance(obj, dict) else None
+        if isinstance(spec, str) and _names_file(str(here / spec)):
+            obj[key] = str(here / spec)
+    return obj
 
 
 def _coerce_keys(mapping: dict, g: Graph) -> dict:
@@ -118,7 +133,7 @@ def load_graph(spec) -> Graph:
     if isinstance(spec, dict):
         return graph_from_json(spec)
     spec = str(spec)
-    if Path(spec).exists() or spec.endswith(".json"):
+    if _names_file(spec):
         return graph_from_json(_read_json(spec))
     got = builtin(spec)
     if isinstance(got, Z2Graph):
@@ -143,8 +158,8 @@ def load_involution(spec, graph: Graph = None) -> Z2Graph:
         z = Z2Graph.build(g, {k: _coerce_value(v, g) for k, v in m.items()})
     else:
         spec = str(spec)
-        if Path(spec).exists() or spec.endswith(".json"):
-            z = load_involution(_read_json(spec), graph)
+        if _names_file(spec):
+            z = load_involution(_read_json(spec, "graph"), graph)
         else:
             name = spec.lower()
             if name in ("swap", "flip") and graph is not None:
@@ -175,8 +190,8 @@ def load_graph_map(spec) -> GraphMap:
         return spec
     if not isinstance(spec, dict):
         spec = str(spec)
-        if Path(spec).exists() or spec.endswith(".json"):
-            return load_graph_map(_read_json(spec))
+        if _names_file(spec):
+            return load_graph_map(_read_json(spec, "source", "target"))
         got = builtin(spec)
         if not isinstance(got, GraphMap):
             raise InputError(f"builtin {spec!r} is not a graph map")
@@ -209,7 +224,7 @@ def certificate_from_json(obj) -> PathCertificate:
 
 
 def load_certificate(path) -> PathCertificate:
-    return certificate_from_json(_read_json(path))
+    return certificate_from_json(_read_json(path, "source", "target"))
 
 
 def bundled_fig3_certificate() -> PathCertificate:

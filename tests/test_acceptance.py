@@ -20,7 +20,6 @@ from homlab import (GraphMap, bound_suite, check_swt_bound, chromatic_number,
                     theorem2_pipeline, verify_certificate)
 from homlab.bounds import FULL_METHOD_MAX_ELEMENTS
 from homlab.complexes import CocycleClass, coboundary, is_coboundary
-from homlab.hom import HomPoset
 from homlab.serialize import bundled_fig3_certificate
 
 from conftest import simplicial_complex
@@ -160,7 +159,7 @@ def test_criterion_7_component_oracle_equivalence(hom_T_k3, atom_components):
 
 
 def test_criterion_8_property_suite(hom_k2_k3, hom_k2_k4, boundary_matrix,
-                                   on_simplices, index_of):
+                                   on_simplices):
     rng = np.random.default_rng(17)
 
     # boundary squared and coboundary squared vanish
@@ -215,11 +214,10 @@ def test_criterion_8_property_suite(hom_k2_k3, hom_k2_k4, boundary_matrix,
     w = find_retraction_to_edge(k2)
     for g in (complete(2), complete(3), cycle(5)):
         q = enumerate_hom(w.inclusion.source, g)
-        r_star = induced_map(w.retraction, q)
-        big = HomPoset(k2, g, sorted(set(r_star)))
-        i_images = induced_map(w.inclusion, big)
-        index = index_of(big)
-        if [i_images[index[e]] for e in r_star] != list(q.elements):
+        big = enumerate_hom(k2, g)
+        r_star = induced_map(w.retraction, q, big)
+        i_star = induced_map(w.inclusion, big, q)
+        if not np.array_equal(i_star[r_star], np.arange(len(q))):
             retract = False
 
     ok = dd and free and section_independent and retract

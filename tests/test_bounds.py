@@ -4,11 +4,12 @@ from functools import cached_property
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from homlab import (ConnResult, FreenessError, HomPoset, InputError, InvariantError,
-                    PathCertificate, bound_suite, bounds, check_ht_bound,
-                    check_swt_bound, complete, complete_flip, connected_graphs,
-                    cycle, cycle_reflection, enumerate_hom, induced_involution,
-                    paper_gamma1, paper_gamma2, theorem1_pipeline,
+from homlab import (ConnResult, FreenessError, GraphMap, HomPoset, InputError,
+                    InvariantError, PathCertificate, RetractionWitness,
+                    bound_suite, bounds, check_ht_bound, check_swt_bound,
+                    complete, complete_flip, connected_graphs, cycle,
+                    cycle_reflection, enumerate_hom, hom, induced_involution,
+                    induced_map, paper_gamma1, paper_gamma2, theorem1_pipeline,
                     theorem2_pipeline)
 from homlab.bounds import FULL_METHOD_MAX_ELEMENTS
 from homlab.errors import ResourceLimitError
@@ -184,6 +185,41 @@ class TestTheorem1Pipeline:
     def test_custom_suite(self):
         report = theorem1_pipeline(cycle(6), suite=[complete(3)])
         assert report.passed and len(report.stages) == 2
+
+    def test_swapped_retraction_fails_every_identity(self, monkeypatch):
+        """A retraction that swaps the edge's endpoints makes r o i the swap,
+        whose precomposition moves every element of Hom(K2, G)."""
+        find = bounds.find_retraction_to_edge
+
+        def swapped(t):
+            w = find(t)
+            u, v = w.inclusion.assignment
+            flip = {u: v, v: u}
+            r = GraphMap.build(t, w.retraction.target,
+                               tuple(flip[x] for x in w.retraction.assignment))
+            return RetractionWitness(inclusion=w.inclusion, retraction=r)
+        monkeypatch.setattr(bounds, "find_retraction_to_edge", swapped)
+        report = theorem1_pipeline(cycle(4))
+        assert not report.passed
+        identities = [s for s in report.stages if s.name.startswith("retract_identity[")]
+        assert len(identities) == 3
+        assert not any(s.passed for s in identities)
+
+
+def test_pipelines_build_no_tuples(monkeypatch, T, K2, K3):
+    """Theorem 1, Theorem 2, ``induced_map`` and graph-map lookups run on the
+    mask arrays: none of them builds a poset's element tuples."""
+    def refused(rows):
+        raise AssertionError("element tuples built")
+    monkeypatch.setattr(hom._Rows, "elements", property(refused))
+    assert theorem1_pipeline(cycle(4)).passed
+    assert theorem2_pipeline().passed
+    f = GraphMap.build(K2, T, ("a", "b"))
+    idx = induced_map(f, enumerate_hom(T, K3), enumerate_hom(K2, K3))
+    assert len(idx) == 2160 and (idx >= 0).all()
+    poset = enumerate_hom(K2, K3)
+    phi, psi = (GraphMap.build(K2, K3, a) for a in ((1, 2), (3, 2)))
+    assert poset.same_component(phi, psi)
 
 
 class TestBoundSuite:

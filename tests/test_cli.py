@@ -1,16 +1,17 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from homlab import (FreenessError, GraphMap, InputError, InvariantError, bounds,
                     complete, complexes, cycle, hom, paper_T, paper_f,
-                    paper_gamma1)
+                    paper_gamma1, paper_gamma2)
 from homlab.cli import main
 from homlab.serialize import (bundled_fig3_certificate, certificate_from_json,
                               certificate_to_json, dumps, graph_from_json,
-                              graph_signature, graph_to_json, load_graph,
-                              load_graph_map, load_involution)
+                              graph_signature, graph_to_json, load_certificate,
+                              load_graph, load_graph_map, load_involution)
 
 
 def run(capsys, *argv):
@@ -65,6 +66,28 @@ class TestSerialize:
     def test_string_keys_coerced_to_int_vertices(self, K3):
         z = load_involution({"graph": "K3", "map": {"1": "2", "2": "1", "3": "3"}})
         assert z.involution(1) == 2
+
+    def test_data_samples_load_from_any_directory(self, tmp_path, monkeypatch):
+        """A path inside a file is read from that file's directory, so the
+        samples in ``data/`` load from any working directory."""
+        data = Path(__file__).resolve().parents[1] / "data"
+        monkeypatch.chdir(tmp_path)
+        assert load_graph(str(data / "K3.json")) == complete(3)
+        assert load_graph(str(data / "paper_T.json")) == paper_T()
+        assert load_involution(str(data / "gamma1.json")) == paper_gamma1()
+        assert load_involution(str(data / "gamma2.json")) == paper_gamma2()
+
+    def test_map_and_certificate_paths_are_file_relative(self, tmp_path, monkeypatch, K2):
+        (tmp_path / "k2.json").write_text(dumps(graph_to_json(K2)))
+        m, c = tmp_path / "m.json", tmp_path / "c.json"
+        m.write_text(dumps({"source": "k2.json", "target": "K3",
+                            "assignment": {"1": 1, "2": 2}}))
+        c.write_text(dumps({"source": "k2.json", "target": "K3",
+                            "colorings": [{"1": 1, "2": 2}]}))
+        (tmp_path / "elsewhere").mkdir()
+        monkeypatch.chdir(tmp_path / "elsewhere")
+        assert load_graph_map(str(m)).source == K2
+        assert load_certificate(str(c)).source == K2
 
     def test_load_graph_map_inline(self, K2, K3):
         phi = load_graph_map({"source": "K2", "target": "K3",

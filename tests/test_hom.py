@@ -347,6 +347,13 @@ class TestComponents:
         f2 = f.compose(paper_gamma2().involution)
         assert hom_T_k3.same_component(f, f2)
 
+    def test_graph_map_of_another_source_rejected(self, K2, K3, hom_k2_k3):
+        # the identity of K3 agrees with the element (1, 2) of Hom(K2, K3)
+        # on its first two vertices
+        identity = GraphMap.build(K3, K3, (1, 2, 3))
+        with pytest.raises(InputError, match="not an element"):
+            hom_k2_k3.same_component(identity, identity)
+
     def test_same_component_accepts_numpy_indices(self, hom_T_k3):
         atoms, labels = hom_T_k3.atoms, hom_T_k3.component_labels
         assert isinstance(atoms[0], np.integer)
@@ -445,7 +452,7 @@ class TestInducedInvolution:
     def test_every_image_is_checked(self, K2, K3, hom_k2_k3):
         # without its last element the poset lacks the image of that
         # element's partner
-        partial = HomPoset(K2, K3, hom_k2_k3.elements[:-1])
+        partial = HomPoset(K2, K3, hom_k2_k3._rows.rows[:-1])
         with pytest.raises(InvariantError, match="not a poset element"):
             induced_involution(complete_flip(2), partial)
 
@@ -489,16 +496,19 @@ class TestInducedMap:
         from homlab import Graph
         point = Graph.build([1], [])
         f = GraphMap.build(point, K2, (2,))
-        assert induced_map(f, hom_k2_k3) == [(e[1],) for e in hom_k2_k3.elements]
         codomain = enumerate_hom(point, K3)
-        idx = induced_map(f, hom_k2_k3, codomain=codomain)
+        idx = induced_map(f, hom_k2_k3, codomain)
+        assert idx.dtype == np.intp
         assert [codomain.elements[j] for j in idx] == \
             [(e[1],) for e in hom_k2_k3.elements]
 
     def test_mismatched_poset_rejected(self, K2, K3, hom_k2_k3):
         incl = GraphMap.build(K2, K3, (1, 2))
         with pytest.raises(InputError):
-            induced_map(incl, hom_k2_k3)
+            induced_map(incl, hom_k2_k3, hom_k2_k3)
+        swap = GraphMap.build(K2, K2, (2, 1))
+        with pytest.raises(InputError, match="codomain"):
+            induced_map(swap, hom_k2_k3, enumerate_hom(K2, complete(4)))
 
 
 class TestCertificates:
