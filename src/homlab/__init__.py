@@ -11,7 +11,7 @@ from .graphs import (Graph, GraphMap, RetractionWitness, Z2Graph, builtin,
                      search_equivariant_map)
 from .hom import (CertificateCheck, HomPoset, PathCertificate, enumerate_graph_maps,
                   enumerate_hom, find_path, induced_involution, induced_map,
-                  verify_certificate)
+                  iter_graph_maps, verify_certificate)
 from .complexes import (CellComplex, CocycleClass, ConnResult, HeightResult,
                         betti_mod2, conn_proxy, cup_power, hom_complex,
                         is_coboundary, order_complex, quotient_with_w1,

@@ -56,13 +56,14 @@ def cmd_chrom(args) -> int:
 
 def cmd_maps(args) -> int:
     g, h = _load_pair(args.G, args.H)
-    maps = hom.enumerate_graph_maps(g, h)
     if args.count:
-        _emit(args, {"count": len(maps)}, str(len(maps)))
-    else:
-        payload = {"maps": [dict(zip(map(str, g.vertices), row)) for row in maps]}
-        human = "\n".join(str(dict(zip(g.vertices, row))) for row in maps)
-        _emit(args, payload, human if maps else "(none)")
+        count = sum(1 for _ in hom.iter_graph_maps(g, h))
+        _emit(args, {"count": count}, str(count))
+        return EXIT_OK if count else EXIT_NEGATIVE
+    maps = hom.enumerate_graph_maps(g, h)
+    payload = {"maps": [dict(zip(map(str, g.vertices), row)) for row in maps]}
+    human = "\n".join(str(dict(zip(g.vertices, row))) for row in maps)
+    _emit(args, payload, human if maps else "(none)")
     return EXIT_OK if maps else EXIT_NEGATIVE
 
 
@@ -180,9 +181,9 @@ def cmd_sweep(args) -> int:
     z = serialize.load_involution(args.inv, t)
     if args.max_n < 1:
         raise InputError(f"--max-n must be at least 1, got {args.max_n}")
-    family = []
-    for n in range(1, args.max_n + 1):
-        family.extend(graphs.connected_graphs(n))
+    # largest first: only it can trip the cap, and then before any work
+    by_size = [graphs.connected_graphs(n) for n in range(args.max_n, 0, -1)]
+    family = [g for same_size in reversed(by_size) for g in same_size]
     reports = bounds.bound_suite(z, family, names=(str(args.T), str(args.inv)))
     violations = [r for r in reports if r.status == "violated"]
     for r in reports:

@@ -20,9 +20,10 @@ from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .errors import FreenessError, InputError, InvariantError, ResourceLimitError
+from .errors import (FreenessError, InputError, InvariantError, ResourceLimitError,
+                     default_max_elements)
 from .gf2 import in_column_span, pivots
-from .hom import HomPoset, _find, _row_keys, default_max_elements
+from .hom import HomPoset, _find, _row_keys
 
 __all__ = [
     "CellComplex",

@@ -12,9 +12,9 @@ import math
 import re
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Optional
+from typing import Callable, Iterable, Optional, Sequence
 
-from .errors import InputError
+from .errors import InputError, ResourceLimitError, default_max_elements
 
 __all__ = [
     "Graph",
@@ -23,7 +23,6 @@ __all__ = [
     "RetractionWitness",
     "is_graph_map",
     "chromatic_number",
-    "k_coloring",
     "find_retraction_to_edge",
     "search_equivariant_map",
     "complete",
@@ -216,136 +215,129 @@ class RetractionWitness:
         return self.retraction.compose(self.inclusion).is_identity()
 
 
-def k_coloring(g: Graph, k: int) -> Optional[tuple]:
-    """A proper coloring of ``g`` with colors ``0..k-1``, or None.
+def _mask_key(mask: int) -> tuple:
+    """Sorted tuple of bit positions; the canonical sort key of a color set."""
+    out = []
+    i = 0
+    while mask:
+        if mask & 1:
+            out.append(i)
+        mask >>= 1
+        i += 1
+    return tuple(out)
 
-    Backtracking in vertex order; the first vertex is fixed to color 0 and a
-    vertex may only open one color beyond the maximum already used, which
-    prunes color permutations.
-    """
-    if g.loops():
-        return None
-    n = len(g.vertices)
-    if n == 0:
-        return ()
-    if k <= 0:
-        return None
-    colors = [-1] * n
-    earlier = [
-        [g.index(u) for u in g.neighbors(v) if g.index(u) < i]
-        for i, v in enumerate(g.vertices)
-    ]
 
-    def extend(i: int, used: int) -> bool:
-        if i == n:
-            return True
-        limit = min(k, used + 1)
-        for c in range(limit):
-            if all(colors[j] != c for j in earlier[i]):
-                colors[i] = c
-                if extend(i + 1, max(used, c + 1)):
-                    return True
-        colors[i] = -1
-        return False
+def _adjacency_masks(target: Graph) -> list:
+    """Per target vertex, the bitmask of its neighbors (itself if looped)."""
+    adjm = [0] * len(target.vertices)
+    for x, y in target.edges:
+        adjm[target.index(x)] |= 1 << target.index(y)
+        adjm[target.index(y)] |= 1 << target.index(x)
+    return adjm
 
-    return tuple(colors) if extend(0, 0) else None
+
+def _moves(source: Graph, target: Graph) -> Callable[[Sequence, int], int]:
+    """``moves(a, v)``: the mask of the colors ``c`` other than ``a[v]``
+    for which ``a`` with ``a[v] | c`` at ``v`` is a multihom, for an atom or
+    a partial coloring ``a`` (a singleton mask per vertex, 0 where uncolored).
+    On an atom each is a 1-cell of the Hom complex from ``a`` to ``a``
+    recolored at ``v``.  They are the colors adjacent to the color of every
+    neighbor of ``v`` (``v`` itself included when it has a loop) and, when
+    ``v`` has a loop, looped.  An uncolored vertex constrains nothing."""
+    adjm = _adjacency_masks(target)
+    full = (1 << len(adjm)) - 1
+    adj = {0: full, **{1 << k: m for k, m in enumerate(adjm)}}
+    looped = sum(m & 1 << k for k, m in enumerate(adjm))
+    keep = [looped if v in source.neighbors(v) else full for v in source.vertices]
+    nbrs = [tuple(map(source.index, source.neighbors(v))) for v in source.vertices]
+
+    def moves(a: Sequence, v: int) -> int:
+        m = keep[v] & ~a[v]
+        for u in nbrs[v]:
+            m &= adj[a[u]]
+        return m
+
+    return moves
+
+
+def _graph_maps(source: Graph, target: Graph, flip: Sequence, target_flip: Sequence):
+    """The graph maps ``phi: source -> target`` with ``phi(flip[v]) =
+    target_flip[phi(v)]``, as tuples of target indices, lexicographic in
+    canonical vertex/color order.  ``flip`` and ``target_flip`` are
+    involutions on vertex indices; ``range(n)`` is the identity, under which
+    these are all graph maps.
+
+    The first uncolored vertex ``v`` takes each of its move colors (see
+    ``_moves``) in ascending order, and its partner ``flip[v]``, which is
+    ``v`` or a later vertex, takes the forced color at once when it is one of
+    the partner's move colors; a fixed ``v`` needs a fixed color."""
+    moves = _moves(source, target)
+    partial = [0] * len(source.vertices)
+
+    def extend(v: int):
+        while v < len(partial) and partial[v]:
+            v += 1
+        if v == len(partial):
+            yield tuple(m.bit_length() - 1 for m in partial)
+            return
+        w = flip[v]
+        for c in _mask_key(moves(partial, v)):
+            partial[v] = 1 << c
+            forced = 1 << target_flip[c]
+            if forced == partial[w] or (w != v and moves(partial, w) & forced):
+                partial[w] = forced
+                yield from extend(v + 1)
+                partial[w] = 0
+        partial[v] = 0
+
+    return extend(0)
 
 
 def chromatic_number(g: Graph):
     """Least n admitting a graph map into K_n; 0 for the empty graph, inf for loops."""
     if g.loops():
         return math.inf
-    n = len(g.vertices)
-    if n == 0:
-        return 0
-    for k in range(1, n + 1):
-        if k_coloring(g, k) is not None:
-            return k
-    raise AssertionError("n colors always suffice")  # pragma: no cover
+    fixed = range(len(g.vertices))
+    return next(k for k in itertools.count()
+                if next(_graph_maps(g, complete(k), fixed, range(k)), None) is not None)
 
 
 def find_retraction_to_edge(t: Graph) -> Optional[RetractionWitness]:
-    """A retraction of ``t`` onto its first edge, when chi(t) = 2.
+    """A retraction of ``t`` onto its first edge (u, v), when chi(t) = 2.
 
-    Built from a proper 2-coloring, which a graph with an edge has exactly
-    when chi = 2: each color class is sent to one endpoint of the first edge
-    in canonical order.  Returns None when chi != 2 or the edge set is
-    empty.
+    The first graph map onto the edge, composed with the swap of u and v
+    when it sends u to v; a graph with an edge has one exactly when chi = 2.
+    Returns None when chi != 2 or the edge set is empty.
     """
     if t.loops():
         raise InputError("retraction search requires a loopless graph")
     if not t.edges:
         return None
-    coloring = k_coloring(t, 2)
-    if coloring is None:
-        return None
     u, v = t.sorted_edges()[0]
     edge_graph = Graph.build((u, v), [(u, v)])
-    cu = coloring[t.index(u)]
-    retraction = GraphMap.build(
-        t, edge_graph, tuple(u if c == cu else v for c in coloring)
-    )
+    first = next(_graph_maps(t, edge_graph, range(len(t.vertices)), range(2)), None)
+    if first is None:
+        return None
+    ends = (v, u) if first[t.index(u)] else (u, v)
+    retraction = GraphMap.build(t, edge_graph, tuple(ends[c] for c in first))
     inclusion = GraphMap.build(edge_graph, t, (u, v))
     return RetractionWitness(inclusion=inclusion, retraction=retraction)
 
 
 def search_equivariant_map(a: Z2Graph, b: Z2Graph) -> Optional[GraphMap]:
-    """Exhaustive search for an equivariant graph map ``a.graph -> b.graph``.
+    """The lexicographically first equivariant graph map ``a.graph -> b.graph``
+    under canonical vertex order, or None.
 
     The map phi must satisfy phi(gamma_a(v)) = gamma_b(phi(v)) for all v, on
-    top of the homomorphism condition.  Returns the lexicographically first
-    solution under canonical vertex order, or None.
+    top of the homomorphism condition.
     """
     ga, gb = a.graph, b.graph
-    n = len(ga.vertices)
-    inv_a = [ga.index(a.involution(v)) for v in ga.vertices]
-    inv_b = [gb.index(b.involution(w)) for w in gb.vertices]
-    adj_a = [[ga.index(u) for u in ga.neighbors(v)] for v in ga.vertices]
-    assignment = [-1] * n
-
-    def consistent(i: int, w: int) -> bool:
-        for j in adj_a[i]:
-            x = w if j == i else assignment[j]  # a loop at i needs one at w
-            if x >= 0 and not gb.has_edge(gb.vertices[w], gb.vertices[x]):
-                return False
-        return True
-
-    def place(i: int, w: int):
-        """Assign phi(i)=w and its forced partner; return undo list or None."""
-        placed = []
-        for k, wk in ((i, w), (inv_a[i], inv_b[w])):
-            if assignment[k] >= 0:
-                if assignment[k] != wk:
-                    for p in placed:
-                        assignment[p] = -1
-                    return None
-                continue
-            if not consistent(k, wk):
-                for p in placed:
-                    assignment[p] = -1
-                return None
-            assignment[k] = wk
-            placed.append(k)
-        return placed
-
-    def extend(i: int) -> bool:
-        while i < n and assignment[i] >= 0:
-            i += 1
-        if i == n:
-            return True
-        for w in range(len(gb.vertices)):
-            placed = place(i, w)
-            if placed is None:
-                continue
-            if extend(i + 1):
-                return True
-            for p in placed:
-                assignment[p] = -1
-        return False
-
-    if extend(0):
-        return GraphMap.build(ga, gb, tuple(gb.vertices[w] for w in assignment))
-    return None
+    flip = [ga.index(a.involution(x)) for x in ga.vertices]
+    target_flip = [gb.index(b.involution(y)) for y in gb.vertices]
+    first = next(_graph_maps(ga, gb, flip, target_flip), None)
+    if first is None:
+        return None
+    return GraphMap.build(ga, gb, tuple(gb.vertices[c] for c in first))
 
 
 # ---------------------------------------------------------------------------
@@ -479,13 +471,19 @@ def connected_graphs(n: int) -> list:
     the masks are walked in ascending order: the first mask of a class not
     yet marked is its smallest, so it is the representative; all of its
     images under the n! relabelings are marked at once, and connectivity is
-    tested once per class.  Raises InputError for n < 1.
+    tested once per class.  Raises InputError for n < 1, and
+    ResourceLimitError before it allocates when the 2^(n(n-1)/2) masks are
+    over ``default_max_elements()`` (n >= 8 under the default cap).
     """
     if n < 1:
         raise InputError(f"connected graphs need at least one vertex, got n = {n}")
     if n == 1:
         return [Graph.build((1,), [])]
     pairs = list(itertools.combinations(range(n), 2))
+    cap = default_max_elements()
+    if 1 << len(pairs) > cap:
+        raise ResourceLimitError(f"connected graphs on {n} vertices walk 2^{len(pairs)} "
+                                 f"edge masks, over the cap of {cap}")
     pair_pos = {p: i for i, p in enumerate(pairs)}
     # per vertex permutation: the bit that each pair's image occupies
     relabel = [

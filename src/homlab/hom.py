@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import copy
 import math
-import os
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
@@ -20,8 +19,9 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .errors import InputError, InvariantError, ResourceLimitError
-from .graphs import Graph, GraphMap, Z2Graph, is_graph_map
+from .errors import InputError, InvariantError, ResourceLimitError, default_max_elements
+from .graphs import (Graph, GraphMap, Z2Graph, _adjacency_masks, _graph_maps, _mask_key,
+                     _moves, is_graph_map)
 
 __all__ = [
     "HomPoset",
@@ -31,73 +31,14 @@ __all__ = [
     "induced_map",
     "induced_involution",
     "enumerate_graph_maps",
+    "iter_graph_maps",
     "find_path",
     "verify_certificate",
-    "default_max_elements",
 ]
-
-_DEFAULT_CAP = 10**7
-
-
-def default_max_elements() -> int:
-    """Enumeration cap; HOMLAB_MAX_ELEMENTS overrides the 10^7 default."""
-    raw = os.environ.get("HOMLAB_MAX_ELEMENTS")
-    if raw is None:
-        return _DEFAULT_CAP
-    try:
-        return int(raw)
-    except ValueError:
-        raise InputError(f"HOMLAB_MAX_ELEMENTS={raw!r} is not an integer") from None
-
-
-def _mask_key(mask: int) -> tuple:
-    """Sorted tuple of bit positions; the canonical sort key of a color set."""
-    out = []
-    i = 0
-    while mask:
-        if mask & 1:
-            out.append(i)
-        mask >>= 1
-        i += 1
-    return tuple(out)
-
 
 def _atom(target: Graph, row: tuple) -> tuple:
     """A coloring as an atom: one singleton mask per source vertex."""
     return tuple(1 << target.index(w) for w in row)
-
-
-def _adjacency_masks(target: Graph) -> list:
-    """Per target vertex, the bitmask of its neighbors (itself if looped)."""
-    adjm = [0] * len(target.vertices)
-    for x, y in target.edges:
-        adjm[target.index(x)] |= 1 << target.index(y)
-        adjm[target.index(y)] |= 1 << target.index(x)
-    return adjm
-
-
-def _moves(source: Graph, target: Graph) -> Callable[[Sequence, int], int]:
-    """``moves(a, v)``: the mask of the colors ``c`` other than ``a[v]``
-    for which ``a`` with ``a[v] | c`` at ``v`` is a multihom, for an atom or
-    a partial coloring ``a`` (a singleton mask per vertex, 0 where uncolored).
-    On an atom each is a 1-cell of the Hom complex from ``a`` to ``a``
-    recolored at ``v``.  They are the colors adjacent to the color of every
-    neighbor of ``v`` (``v`` itself included when it has a loop) and, when
-    ``v`` has a loop, looped.  An uncolored vertex constrains nothing."""
-    adjm = _adjacency_masks(target)
-    full = (1 << len(adjm)) - 1
-    adj = {0: full, **{1 << k: m for k, m in enumerate(adjm)}}
-    looped = sum(m & 1 << k for k, m in enumerate(adjm))
-    keep = [looped if v in source.neighbors(v) else full for v in source.vertices]
-    nbrs = [tuple(map(source.index, source.neighbors(v))) for v in source.vertices]
-
-    def moves(a: Sequence, v: int) -> int:
-        m = keep[v] & ~a[v]
-        for u in nbrs[v]:
-            m &= adj[a[u]]
-        return m
-
-    return moves
 
 
 def _recolorings(moves: Callable[[Sequence, int], int], a: tuple):
@@ -669,26 +610,22 @@ def verify_certificate(cert: PathCertificate) -> CertificateCheck:
     return CertificateCheck(True)
 
 
+def iter_graph_maps(source: Graph, target: Graph):
+    """The graph maps source -> target as assignment tuples, one at a time,
+    lexicographic in canonical vertex/color order.  These are the atoms of
+    Hom(source, target).  Raises ResourceLimitError on reaching map number
+    ``default_max_elements() + 1``."""
+    cap = default_max_elements()
+    identity = range(len(source.vertices)), range(len(target.vertices))
+    for count, row in enumerate(_graph_maps(source, target, *identity), 1):
+        if count > cap:
+            raise ResourceLimitError(f"more than {cap} graph maps")
+        yield tuple(target.vertices[c] for c in row)
+
+
 def enumerate_graph_maps(source: Graph, target: Graph) -> list:
-    """All graph maps source -> target as assignment tuples, lexicographic in
-    canonical vertex/color order.  These are the atoms of Hom(source, target),
-    found by coloring vertex ``i`` with each move color of the coloring of
-    the vertices before it."""
-    moves = _moves(source, target)
-    out = []
-    partial = [0] * len(source.vertices)
-
-    def extend(i: int) -> None:
-        if i == len(partial):
-            out.append(tuple(target.vertices[m.bit_length() - 1] for m in partial))
-            return
-        for k in _mask_key(moves(partial, i)):
-            partial[i] = 1 << k
-            extend(i + 1)
-        partial[i] = 0
-
-    extend(0)
-    return out
+    """The list of ``iter_graph_maps(source, target)``."""
+    return list(iter_graph_maps(source, target))
 
 
 def find_path(source: Graph, target: Graph, phi: GraphMap,

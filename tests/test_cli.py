@@ -1,4 +1,5 @@
 import json
+import time
 from pathlib import Path
 
 import numpy as np
@@ -395,6 +396,21 @@ class TestCliExitCodes:
         monkeypatch.setenv("HOMLAB_MAX_ELEMENTS", "5")
         code, _, err = run(capsys, "hom", "K2", "K3")
         assert code == 3 and "resource limit" in err
+
+    def test_sweep_past_the_cap_exit_three(self, capsys):
+        # connected_graphs(8) would walk 2^28 edge masks; it is refused
+        # before any smaller size is built
+        start = time.perf_counter()
+        code, out, err = run(capsys, "sweep", "K2", "swap", "--max-n", "8")
+        assert code == 3 and out == "" and "resource limit" in err
+        assert time.perf_counter() - start < 1
+
+    def test_map_listing_cap_exit_three(self, capsys, monkeypatch):
+        monkeypatch.setenv("HOMLAB_MAX_ELEMENTS", "10")
+        code, out, err = run(capsys, "maps", "C5", "K3", "--count")  # 30 maps
+        assert code == 3 and out == "" and "resource limit" in err
+        code, out, _ = run(capsys, "maps", "K2", "K3")
+        assert code == 0 and len(out.splitlines()) == 6
 
     def test_memory_error_exit_three(self, capsys, monkeypatch):
         def exhausted(*args, **kwargs):

@@ -23,9 +23,12 @@ GOLDEN = Path(__file__).with_name("golden")
 COMMANDS = [
     ["chrom", "paper_T"],
     ["chrom", "K4"],
+    ["chrom", "K7"],
     ["maps", "K2", "K3", "--count"],
     ["maps", "C5", "K3", "--count"],
     ["maps", "K3", "K2", "--count"],
+    ["maps", "C5", "K3"],
+    ["maps", "K2", "K3"],
     ["hom", "paper_T", "K3", "--components"],
     ["hom", "C5", "K4", "--components"],
     ["hom", "K2", "K2", "--components"],
@@ -45,6 +48,9 @@ COMMANDS = [
     ["find-path", "K3", "K3", "k3_identity.json", "k3_transposed.json"],
     ["eqmap", "C5", "c5_reflection", "paper_T", "gamma1"],
     ["eqmap", "C5", "c5_reflection", "K2", "k2_swap"],
+    ["eqmap", "K2", "k2_swap", "paper_T", "gamma2"],
+    ["eqmap", "paper_T", "gamma2", "C5", "c5_reflection"],
+    ["eqmap", "paper_T", "gamma1", "K2", "k2_swap"],
     ["paper", "theorem1", "C4"],
     ["paper", "theorem2"],
 ]

@@ -2,8 +2,9 @@ import itertools
 import math
 
 import pytest
+from hypothesis import given, reject, settings, strategies as st
 
-from homlab import (Graph, GraphMap, InputError, Z2Graph, builtin,
+from homlab import (Graph, GraphMap, InputError, ResourceLimitError, Z2Graph, builtin,
                     chromatic_number, complete, complete_flip,
                     connected_graphs, cycle, cycle_reflection,
                     find_retraction_to_edge, is_graph_map,
@@ -188,6 +189,44 @@ class TestEquivariantSearch:
         phi = search_equivariant_map(a, b)
         assert phi is not None and phi.as_dict() == {"v": 2}
 
+    @settings(max_examples=80, deadline=None, derandomize=True, database=None)
+    @given(st.data())
+    def test_first_map_matches_brute_force(self, small_graphs, data):
+        """Every ordered pair of two drawn Z2-graphs, each with or without
+        loops; a drawn involution that is not an automorphism is discarded."""
+        zs = [z2_graph(data, small_graphs(1, loops=data.draw(st.booleans())))
+              for _ in range(2)]
+        for a, b in itertools.product(zs, repeat=2):
+            phi = search_equivariant_map(a, b)
+            assert (None if phi is None else phi.assignment) == first_equivariant(a, b)
+
+
+def first_equivariant(a, b):
+    """Oracle: the first assignment in ``itertools.product`` order that is a
+    graph map commuting with the involutions, or None."""
+    ga, gb = a.graph, b.graph
+    return next((row for row in itertools.product(gb.vertices, repeat=len(ga.vertices))
+                 if is_graph_map(row, ga, gb)
+                 and all(row[ga.index(a.involution(v))] == b.involution(w)
+                         for v, w in zip(ga.vertices, row))), None)
+
+
+def z2_graph(data, graphs):
+    """A drawn graph with the involution exchanging the first ``2k``
+    vertices of a drawn permutation in pairs and fixing the rest.  ``k`` is
+    drawn down from ``n // 2``: hypothesis leans to small draws, and the
+    exchanged pairs are what put a flipped edge in a source graph."""
+    g = data.draw(graphs)
+    order = data.draw(st.permutations(g.vertices))
+    k = len(order) // 2 - data.draw(st.integers(0, len(order) // 2))
+    mapping = {v: v for v in order}
+    for x, y in zip(order[:2 * k:2], order[1:2 * k:2]):
+        mapping[x], mapping[y] = y, x
+    try:
+        return Z2Graph.build(g, mapping)
+    except InputError:
+        reject()
+
 
 class TestBuiltins:
     def test_complete(self):
@@ -226,6 +265,14 @@ class TestConnectedGraphs:
     def test_no_vertices_rejected(self, n):
         with pytest.raises(InputError):
             connected_graphs(n)
+
+    def test_cap_refuses_before_allocating(self, monkeypatch):
+        with pytest.raises(ResourceLimitError):
+            connected_graphs(8)  # 2^28 edge masks
+        monkeypatch.setenv("HOMLAB_MAX_ELEMENTS", str(2**6))
+        assert len(connected_graphs(4)) == 6  # 2^6 masks
+        with pytest.raises(ResourceLimitError):
+            connected_graphs(5)
 
     def test_all_connected_and_loopless(self):
         for g in connected_graphs(4):

@@ -10,7 +10,7 @@ from homlab import (Graph, GraphMap, HomPoset, InputError, InvariantError,
                     cycle, cycle_reflection,
                     enumerate_graph_maps, enumerate_hom, find_path,
                     induced_involution, induced_map, is_graph_map,
-                    paper_f, paper_gamma1, paper_gamma2, verify_certificate)
+                    iter_graph_maps, paper_f, paper_gamma1, paper_gamma2, verify_certificate)
 from homlab import hom as hom_module
 from homlab.serialize import bundled_fig3_certificate
 
@@ -118,6 +118,15 @@ class TestEnumerateHom:
                                                      repeat=len(source.vertices))
                     if is_graph_map(row, source, target)]
         assert enumerate_graph_maps(source, target) == expected
+
+    def test_listing_cap(self, monkeypatch, K2, K3):
+        monkeypatch.setenv("HOMLAB_MAX_ELEMENTS", "6")
+        assert len(enumerate_graph_maps(K2, K3)) == 6
+        monkeypatch.setenv("HOMLAB_MAX_ELEMENTS", "5")
+        listing = iter_graph_maps(K2, K3)
+        assert [next(listing) for _ in range(5)] == [(1, 2), (1, 3), (2, 1), (2, 3), (3, 1)]
+        with pytest.raises(ResourceLimitError):
+            next(listing)
 
     def test_canonical_order_is_deterministic(self, K2, K3, hom_k2_k3):
         again = enumerate_hom(K2, K3)
