@@ -55,16 +55,25 @@ def cmd_chrom(args) -> int:
 
 
 def cmd_maps(args) -> int:
+    """Counts the maps first, keeping none, so a listing past the cap exits
+    3 with nothing written; the listing then streams from a second walk,
+    byte for byte what ``_emit`` would write for the whole list."""
     g, h = _load_pair(args.G, args.H)
+    count = sum(1 for _ in hom.iter_graph_maps(g, h))
     if args.count:
-        count = sum(1 for _ in hom.iter_graph_maps(g, h))
         _emit(args, {"count": count}, str(count))
-        return EXIT_OK if count else EXIT_NEGATIVE
-    maps = hom.enumerate_graph_maps(g, h)
-    payload = {"maps": [dict(zip(map(str, g.vertices), row)) for row in maps]}
-    human = "\n".join(str(dict(zip(g.vertices, row))) for row in maps)
-    _emit(args, payload, human if maps else "(none)")
-    return EXIT_OK if maps else EXIT_NEGATIVE
+    elif args.json:
+        keys = list(map(str, g.vertices))
+        sys.stdout.write('{"maps":[')
+        for k, row in enumerate(hom.iter_graph_maps(g, h)):
+            sys.stdout.write(("," if k else "") + serialize.dumps(dict(zip(keys, row)))[:-1])
+        sys.stdout.write("]}\n")
+    elif not count:
+        print("(none)")
+    else:
+        for row in hom.iter_graph_maps(g, h):
+            print(dict(zip(g.vertices, row)))
+    return EXIT_OK if count else EXIT_NEGATIVE
 
 
 def cmd_hom(args) -> int:

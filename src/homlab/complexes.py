@@ -13,8 +13,8 @@ membership question goes to the one GF(2) elimination in
 
 from __future__ import annotations
 
+import itertools
 import math
-from array import array
 from dataclasses import dataclass
 from typing import NamedTuple, Optional, Sequence
 
@@ -86,11 +86,16 @@ class CellComplex:
     """A finite cell complex over GF(2), its cells named and grouped by
     dimension.
 
-    ``cells[d][j]`` names the d-cell ``j``; ``faces[d]`` lists the
-    (d-1)-cells of each d-cell's mod-2 boundary, and ``tops[d]`` its top
-    pairs ``(f, e)``: a (d-1)-face ``f`` and the 1-cell ``e`` from the last
-    vertex of ``f`` to the last vertex of the cell.  :func:`cup_power` runs
-    on the top pairs.  Both tables are empty in dimension 0.
+    ``cells[d][j]`` names the d-cell ``j``.  :func:`hom_complex` names each
+    cell by its element index, one ascending 1-D integer array per
+    dimension; :func:`quotient_with_w1` names each orbit by its lift's
+    name; :func:`order_complex` names each d-simplex by its chain, one row
+    of a 2-D integer array of shape (n_d, d + 1), the rows in lexicographic
+    order.  ``faces[d]`` lists the (d-1)-cells of each d-cell's mod-2
+    boundary, and ``tops[d]`` its top pairs ``(f, e)``: a (d-1)-face ``f``
+    and the 1-cell ``e`` from the last vertex of ``f`` to the last vertex
+    of the cell.  :func:`cup_power` runs on the top pairs.  Both tables are
+    empty in dimension 0.
     """
 
     def __init__(self, cells: Sequence[Sequence], faces: Sequence[Table],
@@ -125,11 +130,10 @@ class CellComplex:
     n_simplices = n_cells
 
 
-def _simplex_tables(names: Sequence[Sequence[tuple]], parents: Sequence[np.ndarray],
-                    lasts: Sequence[np.ndarray]) -> tuple:
+def _simplex_tables(names: Sequence[np.ndarray], parents: Sequence[np.ndarray]) -> tuple:
     """Face and top tables of the ordered simplicial complex whose d-simplex
-    ``j``, named ``names[d][j]``, is the (d-1)-simplex ``parents[d][j]``
-    extended by the vertex ``lasts[d][j]``.
+    ``j``, the row ``names[d][j]``, is the (d-1)-simplex ``parents[d][j]``
+    extended by its last vertex.
 
     A simplex's key is its parent's position and its last vertex
     (``_row_keys``), and the keys of each dimension must ascend strictly.
@@ -142,6 +146,7 @@ def _simplex_tables(names: Sequence[Sequence[tuple]], parents: Sequence[np.ndarr
     if not names:
         return [], []
     sizes = [(len(names[d - 1]) if d else 1, len(names[0])) for d in range(len(names))]
+    lasts = [level[:, -1] for level in names]
     keys = [_row_keys(pair, size) for pair, size in zip(zip(parents, lasts), sizes)]
     if any((np.diff(k) <= 0).any() for k in keys):
         raise InputError("poset.above must list ascending indices")
@@ -156,8 +161,8 @@ def _simplex_tables(names: Sequence[Sequence[tuple]], parents: Sequence[np.ndarr
                                 _row_keys((below[parent, i], lasts[d]), sizes[d - 1]))
         if (table < 0).any():
             j, i = np.argwhere(table < 0)[0]
-            s = names[d][j]
-            raise InputError(f"face {s[:i] + s[i + 1:]!r} of {s!r} is missing")
+            s = names[d][j].tolist()
+            raise InputError(f"face {tuple(s[:i] + s[i + 1:])} of {tuple(s)} is missing")
         row = np.arange(n)
         # the last edge of (v0..vd) is that of its face omitting v0
         last = row if d == 1 else tops[-1].entries[table[:, 0], 1]
@@ -217,51 +222,44 @@ def order_complex(poset, max_chains: Optional[int] = None) -> CellComplex:
     ascending up-sets ``poset.above(i)`` lists (a Hom poset reads them off
     the upper covers of its cell relation).
 
-    Simplices are the chains, ordered ascending; raises ResourceLimitError
-    beyond the chain cap, at once when the elements alone, each a chain,
-    exceed it.  ``above(i)`` is asked on the first chain that ends at ``i``,
-    so the cap bounds the up-set work too.  The depth-first walk meets the
-    chains of each length in lexicographic order and records each one's
-    parent (the chain without its last element) and last element, from
-    which the face tables are read off.
+    Simplices are the chains, ordered ascending: ``cells[d]`` holds one
+    d-chain per row.  The up-sets are asked once per element, in element
+    order, into one table; the d-chains extended by every entry of their
+    last element's up-set are the (d+1)-chains, in lexicographic order
+    when the d-chains are.  Raises ResourceLimitError beyond the chain cap:
+    at once when the elements alone, each a chain, exceed it; while the
+    up-sets are asked, since each entry is a 1-chain; and before a level
+    past it is built.
     """
     cap = default_max_elements() if max_chains is None else max_chains
     n = len(poset)
     if n > cap:
         raise ResourceLimitError(f"order complex exceeds the cap of {cap} chains")
-    greater = [None] * n
-    levels, parents, lasts = [], [], []
-    count = 0
-    chain = []
-
-    def extend(last: int, parent: int) -> None:
-        nonlocal count
-        count += 1
+    ups, pairs = [], 0
+    for i in range(n):
+        ups.append(poset.above(i))
+        pairs += len(ups[-1])
+        if n + pairs > cap:
+            raise ResourceLimitError(f"order complex exceeds the cap of {cap} chains")
+    degree = np.fromiter(map(len, ups), dtype=np.intp, count=n)
+    starts = np.zeros(n + 1, dtype=np.intp)
+    np.cumsum(degree, out=starts[1:])
+    above = np.fromiter(itertools.chain.from_iterable(ups), dtype=np.intp, count=starts[-1])
+    del ups
+    levels, parents, count = [np.arange(n)[:, None]], [np.zeros(n, dtype=np.intp)], n
+    # the loop ends on an empty level, which CellComplex trims
+    while len(levels[-1]):
+        chains = levels[-1]
+        fan = degree[chains[:, -1]]
+        count += int(fan.sum())
         if count > cap:
             raise ResourceLimitError(f"order complex exceeds the cap of {cap} chains")
-        d = len(chain) - 1
-        if d == len(levels):
-            levels.append([])
-            parents.append(array("q"))
-            lasts.append(array("q"))
-        here = len(levels[d])
-        levels[d].append(tuple(chain))
-        parents[d].append(parent)
-        lasts[d].append(last)
-        up = greater[last]
-        if up is None:
-            up = greater[last] = poset.above(last)
-        for j in up:
-            chain.append(j)
-            extend(j, here)
-            chain.pop()
-
-    for i in range(n):
-        chain = [i]
-        extend(i, 0)
-    parents = [np.frombuffer(p, dtype=np.int64).astype(np.intp, copy=False) for p in parents]
-    lasts = [np.frombuffer(v, dtype=np.int64).astype(np.intp, copy=False) for v in lasts]
-    return CellComplex(levels, *_simplex_tables(levels, parents, lasts))
+        parent = np.repeat(np.arange(len(chains)), fan)
+        # extension k of a chain ending at v is above[starts[v] + k]
+        at = np.repeat(starts[chains[:, -1]] - (np.cumsum(fan) - fan), fan)
+        levels.append(np.column_stack((chains[parent], above[at + np.arange(len(at))])))
+        parents.append(parent)
+    return CellComplex(levels, *_simplex_tables(levels, parents))
 
 
 def hom_complex(poset: HomPoset, max_cells: Optional[int] = None) -> CellComplex:

@@ -59,6 +59,34 @@ def hom_k2_k4_swap(hom_k2_k4):
     return induced_involution(complete_flip(2), hom_k2_k4)
 
 
+def chains(level):
+    """A level of cell names as Python values: the rows of a 2-D array (an
+    order complex names each chain by one row) as a list of tuples; any
+    other level, such as string or integer names, as it is."""
+    if isinstance(level, np.ndarray) and level.ndim == 2:
+        return list(map(tuple, level.tolist()))
+    return level
+
+
+def dfs_chains(poset):
+    """Oracle for the order complex's names: the chains of ``poset``, each
+    up-set asked once and the chains walked depth first over them, grouped
+    by length as lists of tuples.  The walk meets each length's chains in
+    lexicographic order."""
+    ups = [poset.above(i) for i in range(len(poset))]
+    levels = []
+
+    def walk(chain):
+        if len(chain) > len(levels):
+            levels.append([])
+        levels[len(chain) - 1].append(chain)
+        for j in ups[chain[-1]]:
+            walk(chain + (j,))
+    for i in range(len(poset)):
+        walk((i,))
+    return levels
+
+
 def dense_boundary_matrix(x, d):
     """Mod-2 boundary from d-chains to (d-1)-chains of a simplicial complex
     as a dense 0/1 matrix.
@@ -70,8 +98,8 @@ def dense_boundary_matrix(x, d):
     rows = x.n_cells(d - 1) if d >= 1 else 0
     mat = np.zeros((rows, x.n_cells(d)), dtype=np.uint8)
     if 1 <= d <= x.dim:
-        index = {s: i for i, s in enumerate(x.cells[d - 1])}
-        for j, s in enumerate(x.cells[d]):
+        index = {s: i for i, s in enumerate(chains(x.cells[d - 1]))}
+        for j, s in enumerate(chains(x.cells[d])):
             for i in range(len(s)):
                 mat[index[s[:i] + s[i + 1:]], j] ^= 1
     return mat
@@ -185,7 +213,7 @@ def atom_graph_map(poset, i):
 def simplicial_involution(x, vertex_map):
     """The cell map of a vertex map on a simplicial complex: each simplex
     goes to the tuple of its vertices' images, a cell or not."""
-    return {s: tuple(vertex_map[v] for v in s) for level in x.cells for s in level}
+    return {s: tuple(vertex_map[v] for v in s) for level in x.cells for s in chains(level)}
 
 
 def numbered(x, tau):
@@ -193,7 +221,7 @@ def numbered(x, tau):
     name-keyed map ``tau`` as the integer array ``quotient_with_w1`` takes:
     entry ``k`` is the number of the image of cell ``k``, -1 for an image
     that is not a cell."""
-    names = [name for level in x.cells for name in level]
+    names = [name for level in x.cells for name in chains(level)]
     number = {name: k for k, name in enumerate(names)}
     starts = np.cumsum([0] + [len(level) for level in x.cells])
     cells = [np.arange(a, b) for a, b in zip(starts, starts[1:])]

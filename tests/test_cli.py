@@ -412,6 +412,36 @@ class TestCliExitCodes:
         code, out, _ = run(capsys, "maps", "K2", "K3")
         assert code == 0 and len(out.splitlines()) == 6
 
+    @pytest.mark.parametrize("form", [[], ["--json"]])
+    def test_map_listing_streams(self, form):
+        """``maps paper_T K4`` writes 43,200 maps (3.7 MB as text) while
+        holding under 1 MB: the listing keeps no map it has written."""
+        import contextlib
+        import tracemalloc
+
+        class Sink:
+            def __init__(self):
+                self.lines, self.head, self.tail = 0, "", ""
+
+            def write(self, text):
+                self.lines += text.count("\n")
+                self.head = self.head or text
+                self.tail = (self.tail + text)[-4:]
+        sink = Sink()
+        tracemalloc.start()
+        try:
+            with contextlib.redirect_stdout(sink):
+                code = main(["maps", "paper_T", "K4", *form])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0 and peak < 1_000_000
+        if form:
+            assert sink.lines == 1 and sink.head == '{"maps":['
+            assert sink.tail == "}]}\n"
+        else:
+            assert sink.lines == 43_200
+
     def test_memory_error_exit_three(self, capsys, monkeypatch):
         def exhausted(*args, **kwargs):
             raise MemoryError

@@ -17,22 +17,24 @@ from homlab.complexes import CocycleClass, Table, coboundary, w1_height
 from homlab.errors import ResourceLimitError
 from homlab.gf2 import rank_sparse
 
-from conftest import (eager_in_column_span, element_sets, numbered, simplicial_complex,
-                      simplicial_involution)
+from conftest import (chains, dfs_chains, eager_in_column_span, element_sets, numbered,
+                      simplicial_complex, simplicial_involution)
 
 
 class RelationPoset:
     """The poset on 0..n-1 under ``leq``; each up-set is a scan of ``leq``
-    over all n elements."""
+    over all n elements, made on its first request and kept."""
 
     def __init__(self, n, leq):
-        self.n, self.leq = n, leq
+        self.n, self.leq, self.ups = n, leq, {}
 
     def __len__(self):
         return self.n
 
     def above(self, i):
-        return [j for j in range(self.n) if j != i and self.leq(i, j)]
+        if i not in self.ups:
+            self.ups[i] = [j for j in range(self.n) if j != i and self.leq(i, j)]
+        return self.ups[i]
 
 
 def order_complex_from_relation(n, leq, max_chains=None):
@@ -89,7 +91,7 @@ def dense_face_matrix(x, d):
 class TestOrderedDeltaComplex:
     def test_missing_face_rejected(self):
         # 0 < 1 and 1 < 2 without 0 < 2: the chain (0, 1, 2) lacks its face (0, 2)
-        with pytest.raises(InputError):
+        with pytest.raises(InputError, match=r"face \(0, 2\) of \(0, 1, 2\) is missing"):
             order_complex(RelationPoset(3, lambda i, j: j == i + 1))
 
     def test_duplicate_simplex_rejected(self):
@@ -125,10 +127,11 @@ class TestOrderedDeltaComplex:
         (paper_T(), 3), (cycle(5), 4),
     ])
     def test_tables_match_tuple_oracle(self, source, m, simplex_tables):
-        x = order_complex(enumerate_hom(source, complete(m)))
-        # the walk's preorder meets each dimension's chains in order
-        assert all(list(level) == sorted(level) for level in x.cells)
-        faces, tops = simplex_tables(x.cells)
+        poset = enumerate_hom(source, complete(m))
+        x = order_complex(poset)
+        names = [chains(level) for level in x.cells]
+        assert names == dfs_chains(poset)
+        faces, tops = simplex_tables(names)
         assert [t.rows() for t in x.faces] == faces
         assert [t.rows() for t in x.tops] == tops
 
@@ -150,11 +153,11 @@ class TestOrderedDeltaComplex:
         rng = np.random.default_rng(11)
         z = coboundary(CocycleClass(x, 0, rng.integers(0, 2, x.n_cells(0),
                                                        dtype=np.uint8)))
-        edge = {s: j for j, s in enumerate(x.cells[1])}
+        edge = {s: j for j, s in enumerate(chains(x.cells[1]))}
         for n in range(1, x.dim + 1):
             assert cup_power(z, n).values.tolist() == [
                 int(all(z.values[edge[s[i - 1:i + 1]]] for i in range(1, n + 1)))
-                for s in x.cells[n]]
+                for s in chains(x.cells[n])]
 
     @pytest.mark.parametrize("tables", [
         ([0, 1, 2], [0, 1], [0, 1], [[0, 0]]),  # two face rows for one edge
@@ -311,6 +314,38 @@ class TestOrderComplex:
         assert [s[0] for s in x.cells[0]] == list(range(12))
         assert x.n_cells(0) == 12 and x.n_cells(1) == 12
 
+    @pytest.mark.parametrize("source, m", [
+        (complete(2), 4), (complete(2), 6), (paper_T(), 3), (cycle(5), 4),
+    ])
+    def test_levels_are_ascending_chain_rows(self, source, m):
+        # each row climbs the poset strictly; the rows ascend as index tuples
+        poset = enumerate_hom(source, complete(m))
+        masks = np.array(poset.elements)
+        x = order_complex(poset)
+        for d, level in enumerate(x.cells):
+            assert isinstance(level, np.ndarray) and level.dtype == np.intp
+            assert level.shape == (x.n_cells(d), d + 1)
+            lower, upper = masks[level[:, :-1]], masks[level[:, 1:]]
+            assert not (lower & ~upper).any() and (lower != upper).any(axis=-1).all()
+            names = chains(level)
+            assert names == sorted(set(names))
+
+    def test_memory_follows_the_names_and_tables(self, K2):
+        """Building Hom(K2, K6)'s order complex holds less than twice the
+        bytes of its names, face tables and top tables at any time."""
+        import tracemalloc
+        poset = enumerate_hom(K2, complete(6))
+        order_complex(poset)  # builds the poset's cover table
+        tracemalloc.start()
+        try:
+            x = order_complex(poset)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        held = sum(level.nbytes for level in x.cells) + sum(
+            t.starts.nbytes + t.entries.nbytes for t in x.faces + x.tops)
+        assert peak < 2 * held
+
     def test_hom_poset_never_calls_leq(self, hom_T_k3, monkeypatch):
         def refuse(self, i, j):
             raise AssertionError("order_complex scanned leq")
@@ -326,8 +361,15 @@ class TestOrderComplex:
             walked.append(i)
             return above(self, i)
         monkeypatch.setattr(HomPoset, "above", counted)
+        # 1,932 elements and 45,612 up-set entries are within 100,000, the
+        # chains of length 3 are not
         with pytest.raises(ResourceLimitError):
             order_complex(poset, max_chains=100_000)
+        assert sorted(walked) == list(range(len(poset)))
+        assert len(poset) + sum(len(above(poset, i)) for i in walked) <= 100_000
+        walked.clear()
+        with pytest.raises(ResourceLimitError):
+            order_complex(poset, max_chains=10_000)
         assert len(walked) == len(set(walked)) < len(poset)
 
     def test_poset_past_the_cap_builds_no_covers(self, K2, monkeypatch):
@@ -366,14 +408,15 @@ class TestOrderComplex:
 
 def check_upsets_against_leq(source, target, simplex_tables):
     """The order complex on the up-set walk equals the one on the ``leq``
-    scan, its levels are sorted and its tables are the tuple oracle's."""
+    scan, its names are the depth-first walk's over that scan and its
+    tables are the tuple oracle's."""
     try:
         poset = enumerate_hom(source, target, max_elements=400)
     except ResourceLimitError:
         assume(False)
+    relation = RelationPoset(len(poset), poset.leq)
     routes = (lambda: order_complex(poset, max_chains=20_000),
-              lambda: order_complex_from_relation(len(poset), poset.leq,
-                                                  max_chains=20_000))
+              lambda: order_complex(relation, max_chains=20_000))
     built = []
     for route in routes:
         try:
@@ -382,11 +425,18 @@ def check_upsets_against_leq(source, target, simplex_tables):
             built.append(None)
     if built[0] is None:
         assert built[1] is None
+
+        @functools.cache
+        def starting(i):
+            # the chains with least element i: i alone, or i before a chain above it
+            return 1 + sum(map(starting, relation.above(i)))
+        assert sum(map(starting, range(len(poset)))) > 20_000
         return
+    names = [chains(level) for level in built[0].cells]
+    assert names == [chains(level) for level in built[1].cells]
+    assert names == dfs_chains(relation)
     x = built[0]
-    assert x.cells == built[1].cells
-    assert all(list(level) == sorted(level) for level in x.cells)
-    faces, tops = simplex_tables(x.cells)
+    faces, tops = simplex_tables(names)
     assert [t.rows() for t in x.faces] == faces
     assert [t.rows() for t in x.tops] == tops
 
