@@ -9,9 +9,9 @@ from .graphs import (Graph, GraphMap, RetractionWitness, Z2Graph, builtin,
                      find_retraction_to_edge, is_graph_map,
                      paper_T, paper_f, paper_gamma1, paper_gamma2,
                      search_equivariant_map)
-from .hom import (CertificateCheck, HomPoset, PathCertificate, enumerate_graph_maps,
-                  enumerate_hom, find_path, induced_involution, induced_map,
-                  iter_graph_maps, verify_certificate)
+from .hom import (CertificateCheck, HomPoset, PathCertificate, enumerate_hom,
+                  find_path, induced_involution, induced_map, iter_graph_maps,
+                  verify_certificate)
 from .complexes import (CellComplex, CocycleClass, ConnResult, HeightResult,
                         betti_mod2, conn_proxy, cup_power, hom_complex,
                         is_coboundary, order_complex, quotient_with_w1,

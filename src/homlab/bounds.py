@@ -31,7 +31,7 @@ __all__ = [
 ]
 
 # bound_suite's method threshold, kept below the C5/reflection -> K5 core
-# (45,540 elements), where the full method takes 0.11-0.12 s against 0.006 s
+# (45,540 elements), where the full method takes 0.08-0.09 s against 0.006 s
 # for the component one on a 2-core VM: most of a bound-sweeps round.
 FULL_METHOD_MAX_ELEMENTS = 2000
 

@@ -102,8 +102,7 @@ def cmd_height(args) -> int:
         raise InputError("--export needs --method full")
     poset = hom.induced_involution(z, hom.enumerate_hom(t, g))
     if args.export:
-        quotient, w1 = complexes.quotient_with_w1(complexes.hom_complex(poset),
-                                                  poset.involution)
+        quotient, w1 = complexes.quotient_with_w1(poset)
         _export(args.export, {"quotient": _cells(quotient), "w1": w1.export()})
         res = complexes.HeightResult(complexes.w1_height(w1), True, "full")
     else:

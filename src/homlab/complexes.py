@@ -89,7 +89,7 @@ class CellComplex:
     ``cells[d][j]`` names the d-cell ``j``.  :func:`hom_complex` names each
     cell by its element index, one ascending 1-D integer array per
     dimension; :func:`quotient_with_w1` names each orbit by its lift's
-    name; :func:`order_complex` names each d-simplex by its chain, one row
+    index; :func:`order_complex` names each d-simplex by its chain, one row
     of a 2-D integer array of shape (n_d, d + 1), the rows in lexicographic
     order.  ``faces[d]`` lists the (d-1)-cells of each d-cell's mod-2
     boundary, and ``tops[d]`` its top pairs ``(f, e)``: a (d-1)-face ``f``
@@ -262,6 +262,39 @@ def order_complex(poset, max_chains: Optional[int] = None) -> CellComplex:
     return CellComplex(levels, *_simplex_tables(levels, parents))
 
 
+def _graded(dims: np.ndarray, *relations) -> tuple:
+    """The cells ``0 .. len(dims) - 1``, cell ``i`` of dimension
+    ``dims[i]``, grouped by dimension in their order, and per relation
+    ``(owner, entries)``, owners ascending and both naming cells by number,
+    one Table per dimension holding positions among the cells of their own
+    dimensions."""
+    # narrow, so that the stable sorts by dimension are radix sorts
+    dims = dims.astype(np.min_scalar_type(dims.max(initial=0)))
+    # the position of every cell among the cells of its dimension
+    sizes = np.bincount(dims)
+    order = np.argsort(dims, kind="stable")
+    pos = np.empty(len(dims), dtype=np.intp)
+    pos[order] = np.arange(len(dims)) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+    cells = np.split(order, np.cumsum(sizes)[:-1])
+    tables = []
+    for owner, entries in relations:
+        dim = dims[owner]
+        by_dim = np.argsort(dim, kind="stable")
+        split = np.cumsum(np.bincount(dim, minlength=len(cells)))[:-1]
+        tables.append([Table.from_owners(o, e, len(level)) for o, e, level in
+                       zip(np.split(pos[owner[by_dim]], split),
+                           np.split(pos[entries[by_dim]], split), cells)])
+    return cells, *tables
+
+
+def _cell_cap(poset: HomPoset, max_cells: Optional[int]) -> None:
+    """Raises ResourceLimitError when the Hom complex has more cells than
+    the cap."""
+    cap = default_max_elements() if max_cells is None else max_cells
+    if len(poset) > cap:
+        raise ResourceLimitError(f"Hom complex exceeds the cap of {cap} cells")
+
+
 def hom_complex(poset: HomPoset, max_cells: Optional[int] = None) -> CellComplex:
     """The Hom complex on its own cells (Babson-Kozlov).
 
@@ -275,29 +308,9 @@ def hom_complex(poset: HomPoset, max_cells: Optional[int] = None) -> CellComplex
     (``HomPoset.cell_relation``); here they are grouped by dimension.
     Raises ResourceLimitError beyond the cell cap.
     """
-    cap = default_max_elements() if max_cells is None else max_cells
-    if len(poset) > cap:
-        raise ResourceLimitError(f"Hom complex exceeds the cap of {cap} cells")
+    _cell_cap(poset, max_cells)
     dims, face_owner, faces, top_owner, tops = poset.cell_relation()
-    # narrow, so that the stable sorts by dimension are radix sorts
-    dims = dims.astype(np.min_scalar_type(dims.max(initial=0)))
-    # the cells of each dimension in element order, and the position of
-    # every element among the cells of its dimension
-    sizes = np.bincount(dims)
-    order = np.argsort(dims, kind="stable")
-    pos = np.empty(len(dims), dtype=np.intp)
-    pos[order] = np.arange(len(dims)) - np.repeat(np.cumsum(sizes) - sizes, sizes)
-    cells = np.split(order, np.cumsum(sizes)[:-1])
-
-    def by_dimension(owner: np.ndarray, entries: np.ndarray) -> list:
-        dim = dims[owner]
-        by_dim = np.argsort(dim, kind="stable")
-        split = np.cumsum(np.bincount(dim, minlength=len(cells)))[:-1]
-        return [Table.from_owners(o, e, len(level)) for o, e, level in
-                zip(np.split(pos[owner[by_dim]], split),
-                    np.split(pos[entries[by_dim]], split), cells)]
-
-    return CellComplex(cells, by_dimension(face_owner, faces), by_dimension(top_owner, tops))
+    return CellComplex(*_graded(dims, (face_owner, faces), (top_owner, tops)))
 
 
 # ---------------------------------------------------------------------------
@@ -363,85 +376,52 @@ def _odd_keys(keys: np.ndarray) -> np.ndarray:
     return keys[starts[np.diff(starts, append=len(keys)) % 2 == 1]]
 
 
-def quotient_with_w1(x: CellComplex, tau):
-    """Quotient of a free cellular involution, plus the twist cocycle of the
-    resulting double cover.
+def quotient_with_w1(poset: HomPoset, max_cells: Optional[int] = None):
+    """The free quotient of the Hom complex by ``poset.involution`` tau, on
+    its cells, plus the twist cocycle of the double cover.
 
-    The cells are named by integers ascending in each dimension, and
-    ``tau[name]``, an integer array, names the image of the cell ``name``,
-    found among the names of its dimension by key.  tau must send d-cells
-    to d-cells, be of order two, fix no cell, and commute with the face
-    lists and top pairs.  A quotient cell is a tau-orbit of cells, named by
-    its lift (the one of lower index).  Its faces are the orbits of its
-    lift's faces, summed mod 2, so two faces in one orbit cancel; its top
-    pairs are the orbits of its lift's.  The vertex lifts are the section
-    of the cover; the degree-1 cocycle takes value 1 on an edge orbit whose
-    lift joins a vertex of the section to one outside it.
+    A quotient cell is a tau-orbit of Hom cells, named by its lift, the
+    element ``i`` with ``i < tau[i]``, and its faces and top pairs are the
+    orbits of its lift's.  Only the lifts' rows of the cell relation are
+    built (``HomPoset.cell_relation``); the faces are then sorted by orbit
+    within each cell.  The atoms below their images are the section of the
+    cover; the degree-1 cocycle takes value 1 on an edge orbit whose lift
+    joins an atom of the section to one outside it.
+
+    tau must be an order-two permutation of the elements (InputError)
+    fixing none (FreenessError); that it comes from a flipping involution
+    of the source and a loopless target, as ``induced_involution``
+    guarantees, is taken as given.  Raises ResourceLimitError when the Hom
+    complex has more cells than the cap.
     """
-    if x.is_empty():
-        return x, CocycleClass(x, 1, np.zeros(0, dtype=np.uint8))
-    tau = np.asarray(tau)
-    if tau.ndim != 1 or tau.dtype.kind not in "iu":
-        raise InputError("tau must be an integer array indexed by cell name")
-    levels = []
-    for d, level in enumerate(x.cells):
-        names = np.asarray(level)
-        if len(names) and not (names.ndim == 1 and names.dtype.kind in "iu"
-                               and 0 <= names[0] and names[-1] < len(tau)
-                               and (names[:-1] < names[1:]).all()):
-            raise InputError(f"the {d}-cells are not named by ascending indices of tau")
-        names = names.astype(np.intp, copy=False)
-        img = _find(names, tau[names])
-        if (img < 0).any():
-            raise InputError(f"tau sends the {d}-cell {names[img.argmin()]} to no {d}-cell")
-        idx = np.arange(len(names))
-        if (img[img] != idx).any():
-            raise InputError("involution is not of order two")
-        if (img == idx).any():
-            raise FreenessError(f"involution fixes the cell {names[(img == idx).argmax()]}")
-        reps = np.flatnonzero(idx < img)
-        orbit = np.empty(len(names), dtype=np.intp)
-        orbit[reps] = orbit[img[reps]] = np.arange(len(reps))
-        levels.append((names[reps], img, orbit, reps))
-    named, image, orbit_of, lifts = zip(*levels)
-
-    faces, tops = [Table.empty(len(lifts[0]))], [Table.empty(len(lifts[0]), (2,))]
-    for d in range(1, len(lifts)):
-        face, top = x.faces[d], x.tops[d]
-        face_owner, top_owner = face.owner(), top.owner()
-        img, lower = image[d], image[d - 1]
-        # tau maps the face rows and top rows onto themselves, as multisets
-        sizes = (len(img), len(lower), len(image[1]))
-        pairs = [(_row_keys((img[face_owner], lower[face.entries]), sizes[:2]),
-                  _row_keys((face_owner, face.entries), sizes[:2])),
-                 (_row_keys((img[top_owner], lower[top.entries[:, 0]],
-                             image[1][top.entries[:, 1]]), sizes),
-                  _row_keys((top_owner, *top.entries.T), sizes))]
-        if not all(np.array_equal(np.sort(a), np.sort(b)) for a, b in pairs):
-            raise InputError(f"involution does not commute with the faces of "
-                             f"the {d}-cells")
-        n, m = len(lifts[d]), len(lifts[d - 1])
-        # the lift rows' (orbit, face orbit) pairs met an odd number of times
-        lift = img[face_owner] > face_owner
-        keys = _odd_keys(_row_keys((orbit_of[d][face_owner[lift]],
-                                    orbit_of[d - 1][face.entries[lift]]), (n, m)))
-        faces.append(Table.from_owners(keys // m, keys % m, n))
-        lift = img[top_owner] > top_owner
-        tops.append(Table.from_owners(
-            orbit_of[d][top_owner[lift]],
-            np.stack([orbit_of[d - 1][top.entries[lift, 0]],
-                      orbit_of[1][top.entries[lift, 1]]], axis=1), n))
-    quotient = CellComplex(named, faces, tops)
+    _cell_cap(poset, max_cells)
+    tau, n = poset.involution, len(poset)
+    idx = np.arange(n)
+    if (tau is None or np.shape(tau) != (n,) or ((tau < 0) | (tau >= n)).any()
+            or (tau[tau] != idx).any()):
+        raise InputError("the involution is not an order-two permutation of the elements")
+    if (tau == idx).any():
+        raise FreenessError(f"involution fixes the element {(tau == idx).argmax()}")
+    in_section = idx < tau
+    lifts = np.flatnonzero(in_section)
+    orbit = np.empty(n, dtype=np.intp)
+    orbit[lifts] = orbit[tau[lifts]] = np.arange(len(lifts))
+    dims, face_owner, faces, top_owner, tops = poset.cell_relation(lifts)
+    # the faces of a lift edge are its two atoms
+    crossing = np.bincount(face_owner[in_section[faces]], minlength=len(lifts)) & 1
+    w1_vals = crossing[dims == 1].astype(np.uint8)
+    # Nothing cancels.  On the flipped edge u - gamma(u) of the source, the
+    # sets eta(u) and eta(gamma(u)) of a cell eta are disjoint, the target
+    # being loopless; a face f below eta with tau(f) below eta too would
+    # have f(gamma(u)) inside both, so no cell has two faces in one orbit.
+    m = len(lifts)
+    face_owner, faces = np.divmod(np.sort(_row_keys((face_owner, orbit[faces]), (m, m))), m)
+    cells, face_tables, top_tables = _graded(dims, (face_owner, faces), (top_owner, orbit[tops]))
+    # dropped before the checks, which then hold the build's peak
+    del dims, face_owner, faces, top_owner, tops, orbit
+    quotient = CellComplex([lifts[level] for level in cells], face_tables, top_tables)
     if not _boundary_squares_to_zero(quotient):
         raise InvariantError("the quotient's boundary does not square to zero")
-
-    # a vertex is in the section iff it is its orbit's lift
-    in_section = np.arange(x.n_cells(0)) < image[0]
-    if quotient.dim >= 1:
-        edges = x.faces[1]
-        w1_vals = _row_sums(edges, in_section[edges.entries], x.n_cells(1))[lifts[1]]
-    else:
-        w1_vals = np.zeros(0, dtype=np.uint8)
     w1 = CocycleClass(quotient, 1, w1_vals)
     if not w1.check_cocycle():
         raise InvariantError("w1 representative is not a cocycle")
@@ -530,31 +510,30 @@ def sw_height(poset: HomPoset, method: str = "full",
               max_chains: Optional[int] = None) -> HeightResult:
     """Height of the free involution on a Hom poset.
 
-    ``full`` builds the Hom complex on its cells (``hom_complex``, at most
-    ``max_chains`` of them), takes the free quotient by tau-orbits of
-    cells, and finds the largest n whose cup power of the twist cocycle is
-    not a coboundary.
+    ``full`` builds the free quotient of the Hom complex by tau-orbits of
+    cells (``quotient_with_w1``, the Hom complex having at most
+    ``max_chains`` cells), and finds the largest n whose cup power of the
+    twist cocycle is not a coboundary.
     ``component`` answers exactly within {-inf, 0, >=1}: >= 1 iff some
     connected component is preserved by the involution.
     """
     if poset.involution is None:
         raise InputError("sw_height requires a poset with an involution")
+    if method not in ("full", "component"):
+        raise InputError(f"unknown height method {method!r}")
     if len(poset) == 0:
         return HeightResult(NEG_INF, True, method)
     if method == "component":
         if poset.invariant_components():
             return HeightResult(1, False, method)
         return HeightResult(0, True, method)
-    if method != "full":
-        raise InputError(f"unknown height method {method!r}")
 
     try:
-        x = hom_complex(poset, max_chains)
+        _, w1 = quotient_with_w1(poset, max_chains)
     except ResourceLimitError as exc:
         raise ResourceLimitError(
             f"{exc}; use method='component' for large posets"
         ) from None
-    _, w1 = quotient_with_w1(x, poset.involution)
     return HeightResult(w1_height(w1), True, "full")
 
 

@@ -30,7 +30,6 @@ __all__ = [
     "enumerate_hom",
     "induced_map",
     "induced_involution",
-    "enumerate_graph_maps",
     "iter_graph_maps",
     "find_path",
     "verify_certificate",
@@ -199,10 +198,12 @@ class _Rows:
         return (count, np.cumsum(count, dtype=np.intp) - count,
                 *(np.array(a, dtype=dtype) for a in (faces, peak, pair)))
 
-    def cell_relation(self) -> tuple:
+    def cell_relation(self, rows: Optional[np.ndarray] = None) -> tuple:
         """See ``HomPoset.cell_relation``."""
         count, first, drops, peak, pair = self.by_rank
-        keys, ranks, flat = self.keys(), self.ranks, self.ranks.ravel()
+        keys = self.keys()
+        own, ranks = (keys, self.ranks) if rows is None else (keys[rows], self.ranks[rows])
+        flat = ranks.ravel()
         n, ns = ranks.shape
         # a vertex's place value in a key: the key of its unit row
         weight = _row_keys(np.eye(ns, dtype=np.intp), self.sizes)
@@ -214,7 +215,7 @@ class _Rows:
         at = np.repeat(np.arange(n * ns), count)
         owner, vertex = np.divmod(at, ns)
         new = drops[np.repeat(first[flat] - ends + count, count) + np.arange(len(at))]
-        faces = _find(keys, keys[owner] + (new.astype(keys.dtype) - flat[at]) * weight[vertex])
+        faces = _find(keys, own[owner] + (new.astype(keys.dtype) - flat[at]) * weight[vertex])
         del at, new, vertex
         # per set of two colors or more: its last face drops its largest
         # color, and its 1-cell takes the largest color of every set but
@@ -292,13 +293,15 @@ class HomPoset:
     def leq(self, i: int, j: int) -> bool:
         return not (self._rows.rows[i] & ~self._rows.rows[j]).any()
 
-    def cell_relation(self) -> tuple:
+    def cell_relation(self, rows: Optional[np.ndarray] = None) -> tuple:
         """The Hom complex's cells (see ``complexes.hom_complex``), one per
         element, as element-index arrays ``(dims, face_owner, faces,
         top_owner, tops)``: faces by element, vertex and color, and a row of
         ``tops`` (face, 1-cell) per set of two colors or more, each found by
-        the key of its ranks."""
-        return self._rows.cell_relation()
+        the key of its ranks.  Given ``rows``, an array of element indices,
+        only those cells: ``dims`` and the owners then count positions in
+        ``rows``, while faces and 1-cells stay element indices."""
+        return self._rows.cell_relation(rows)
 
     def above(self, i: int) -> list:
         """Ascending indices of the elements strictly above element ``i``.
@@ -621,11 +624,6 @@ def iter_graph_maps(source: Graph, target: Graph):
         if count > cap:
             raise ResourceLimitError(f"more than {cap} graph maps")
         yield tuple(target.vertices[c] for c in row)
-
-
-def enumerate_graph_maps(source: Graph, target: Graph) -> list:
-    """The list of ``iter_graph_maps(source, target)``."""
-    return list(iter_graph_maps(source, target))
 
 
 def find_path(source: Graph, target: Graph, phi: GraphMap,

@@ -6,7 +6,10 @@ import pytest
 from homlab import (CellComplex, Graph, GraphMap, complete, complete_flip, cycle,
                     cycle_reflection, enumerate_hom, induced_involution, paper_T,
                     paper_f, paper_gamma1, paper_gamma2)
-from homlab.complexes import Table
+from homlab.complexes import (CocycleClass, Table, _boundary_squares_to_zero, _odd_keys,
+                               _row_sums)
+from homlab.errors import FreenessError, InputError, InvariantError
+from homlab.hom import _find, _row_keys
 
 
 @pytest.fixture(scope="session")
@@ -218,7 +221,7 @@ def simplicial_involution(x, vertex_map):
 
 def numbered(x, tau):
     """``x`` with its cells named 0, 1, 2, ... in dimension order, and the
-    name-keyed map ``tau`` as the integer array ``quotient_with_w1`` takes:
+    name-keyed map ``tau`` as the integer array ``generic_quotient`` takes:
     entry ``k`` is the number of the image of cell ``k``, -1 for an image
     that is not a cell."""
     names = [name for level in x.cells for name in chains(level)]
@@ -233,6 +236,91 @@ def numbered(x, tau):
 def on_simplices():
     """``(numbered complex, tau)`` for a vertex map on a simplicial complex."""
     return lambda x, vertex_map: numbered(x, simplicial_involution(x, vertex_map))
+
+
+def generic_quotient(x, tau):
+    """Oracle for ``quotient_with_w1``: the quotient of any cell complex by
+    a free cellular involution, plus the twist cocycle of the double cover.
+
+    The cells are named by integers ascending in each dimension, and
+    ``tau[name]``, an integer array, names the image of the cell ``name``,
+    found among the names of its dimension by key.  tau must send d-cells
+    to d-cells, be of order two, fix no cell, and commute with the face
+    lists and top pairs.  A quotient cell is a tau-orbit of cells, named by
+    its lift (the one of lower index).  Its faces are the orbits of its
+    lift's faces, summed mod 2, so two faces in one orbit cancel; its top
+    pairs are the orbits of its lift's.  The vertex lifts are the section
+    of the cover; the degree-1 cocycle takes value 1 on an edge orbit whose
+    lift joins a vertex of the section to one outside it.
+    """
+    if x.is_empty():
+        return x, CocycleClass(x, 1, np.zeros(0, dtype=np.uint8))
+    tau = np.asarray(tau)
+    if tau.ndim != 1 or tau.dtype.kind not in "iu":
+        raise InputError("tau must be an integer array indexed by cell name")
+    levels = []
+    for d, level in enumerate(x.cells):
+        names = np.asarray(level)
+        if len(names) and not (names.ndim == 1 and names.dtype.kind in "iu"
+                               and 0 <= names[0] and names[-1] < len(tau)
+                               and (names[:-1] < names[1:]).all()):
+            raise InputError(f"the {d}-cells are not named by ascending indices of tau")
+        names = names.astype(np.intp, copy=False)
+        img = _find(names, tau[names])
+        if (img < 0).any():
+            raise InputError(f"tau sends the {d}-cell {names[img.argmin()]} to no {d}-cell")
+        idx = np.arange(len(names))
+        if (img[img] != idx).any():
+            raise InputError("involution is not of order two")
+        if (img == idx).any():
+            raise FreenessError(f"involution fixes the cell {names[(img == idx).argmax()]}")
+        reps = np.flatnonzero(idx < img)
+        orbit = np.empty(len(names), dtype=np.intp)
+        orbit[reps] = orbit[img[reps]] = np.arange(len(reps))
+        levels.append((names[reps], img, orbit, reps))
+    named, image, orbit_of, lifts = zip(*levels)
+
+    faces, tops = [Table.empty(len(lifts[0]))], [Table.empty(len(lifts[0]), (2,))]
+    for d in range(1, len(lifts)):
+        face, top = x.faces[d], x.tops[d]
+        face_owner, top_owner = face.owner(), top.owner()
+        img, lower = image[d], image[d - 1]
+        # tau maps the face rows and top rows onto themselves, as multisets
+        sizes = (len(img), len(lower), len(image[1]))
+        pairs = [(_row_keys((img[face_owner], lower[face.entries]), sizes[:2]),
+                  _row_keys((face_owner, face.entries), sizes[:2])),
+                 (_row_keys((img[top_owner], lower[top.entries[:, 0]],
+                             image[1][top.entries[:, 1]]), sizes),
+                  _row_keys((top_owner, *top.entries.T), sizes))]
+        if not all(np.array_equal(np.sort(a), np.sort(b)) for a, b in pairs):
+            raise InputError(f"involution does not commute with the faces of "
+                             f"the {d}-cells")
+        n, m = len(lifts[d]), len(lifts[d - 1])
+        # the lift rows' (orbit, face orbit) pairs met an odd number of times
+        lift = img[face_owner] > face_owner
+        keys = _odd_keys(_row_keys((orbit_of[d][face_owner[lift]],
+                                    orbit_of[d - 1][face.entries[lift]]), (n, m)))
+        faces.append(Table.from_owners(keys // m, keys % m, n))
+        lift = img[top_owner] > top_owner
+        tops.append(Table.from_owners(
+            orbit_of[d][top_owner[lift]],
+            np.stack([orbit_of[d - 1][top.entries[lift, 0]],
+                      orbit_of[1][top.entries[lift, 1]]], axis=1), n))
+    quotient = CellComplex(named, faces, tops)
+    if not _boundary_squares_to_zero(quotient):
+        raise InvariantError("the quotient's boundary does not square to zero")
+
+    # a vertex is in the section iff it is its orbit's lift
+    in_section = np.arange(x.n_cells(0)) < image[0]
+    if quotient.dim >= 1:
+        edges = x.faces[1]
+        w1_vals = _row_sums(edges, in_section[edges.entries], x.n_cells(1))[lifts[1]]
+    else:
+        w1_vals = np.zeros(0, dtype=np.uint8)
+    w1 = CocycleClass(quotient, 1, w1_vals)
+    if not w1.check_cocycle():
+        raise InvariantError("w1 representative is not a cocycle")
+    return quotient, w1
 
 
 def element_index(poset):

@@ -16,13 +16,13 @@ from homlab import (GraphMap, bound_suite, check_swt_bound, chromatic_number,
                     cycle_reflection, enumerate_hom, find_retraction_to_edge,
                     induced_involution, induced_map, is_graph_map, order_complex,
                     paper_f, paper_gamma1, paper_gamma2, betti_mod2,
-                    quotient_with_w1, search_equivariant_map, sw_height,
-                    theorem2_pipeline, verify_certificate)
+                    search_equivariant_map, sw_height, theorem2_pipeline,
+                    verify_certificate)
 from homlab.bounds import FULL_METHOD_MAX_ELEMENTS
 from homlab.complexes import CocycleClass, coboundary, is_coboundary
 from homlab.serialize import bundled_fig3_certificate
 
-from conftest import simplicial_complex
+from conftest import generic_quotient, simplicial_complex
 
 
 def _report(name: str, ok: bool) -> None:
@@ -187,7 +187,7 @@ def test_criterion_8_property_suite(hom_k2_k3, hom_k2_k4, boundary_matrix,
         x = order_complex(poset)
         tau = {i: poset.involution[i] for i in range(len(poset))}
         # raises FreenessError if not free
-        _, w1 = quotient_with_w1(*on_simplices(x, tau))
+        _, w1 = generic_quotient(*on_simplices(x, tau))
         baseline = is_coboundary(w1)
         # relabel poset indices; the quotient section changes, the class must not
         perm = list(rng.permutation(len(poset)))
@@ -204,7 +204,7 @@ def test_criterion_8_property_suite(hom_k2_k3, hom_k2_k4, boundary_matrix,
             section_independent = False
             continue
         tau2 = {inv_perm[i]: inv_perm[tau[i]] for i in tau}
-        _, w1b = quotient_with_w1(*on_simplices(x2, tau2))
+        _, w1b = generic_quotient(*on_simplices(x2, tau2))
         if is_coboundary(w1b) != baseline:
             section_independent = False
 

@@ -6,13 +6,15 @@ import numpy as np
 import pytest
 
 from homlab import (FreenessError, GraphMap, InputError, InvariantError, bounds,
-                    complete, complexes, cycle, hom, paper_T, paper_f,
-                    paper_gamma1, paper_gamma2)
+                    complete, complete_flip, complexes, cycle, cycle_reflection, hom,
+                    paper_T, paper_f, paper_gamma1, paper_gamma2)
 from homlab.cli import main
 from homlab.serialize import (bundled_fig3_certificate, certificate_from_json,
                               certificate_to_json, dumps, graph_from_json,
                               graph_signature, graph_to_json, load_certificate,
                               load_graph, load_graph_map, load_involution)
+
+from conftest import generic_quotient
 
 
 def run(capsys, *argv):
@@ -167,7 +169,7 @@ class TestCliBasics:
     ], ids=["sw_height", "export"])
     def test_cell_routes_keep_index_arrays(self, capsys, monkeypatch, tmp_path, argv):
         """On the full height and ``height --export``, the involution, the
-        atoms, the component labels and every level of the Hom complex are
+        atoms, the component labels and every level of the quotient are
         numpy arrays."""
         made = {"poset": [], "complex": []}
 
@@ -178,14 +180,14 @@ class TestCliBasics:
             return wrapper
         monkeypatch.setattr(hom, "induced_involution",
                             recorded("poset", hom.induced_involution))
-        monkeypatch.setattr(complexes, "hom_complex",
-                            recorded("complex", complexes.hom_complex))
+        monkeypatch.setattr(complexes, "quotient_with_w1",
+                            recorded("complex", complexes.quotient_with_w1))
         code, _, _ = run(capsys, *(a.format(out=tmp_path / "q.json") for a in argv))
         assert code == 0 and made["poset"] and made["complex"]
         for poset in made["poset"]:
             for view in (poset.involution, poset.atoms, poset.component_labels):
                 assert isinstance(view, np.ndarray)
-        for x in made["complex"]:
+        for x, _ in made["complex"]:
             assert x.cells and all(isinstance(level, np.ndarray) for level in x.cells)
 
     def test_hom_components(self, capsys):
@@ -248,15 +250,31 @@ class TestCliBasics:
                                                monkeypatch):
         _, plain, _ = run(capsys, "--json", "height", "K2", "swap", "K4")
         calls = []
-        original = complexes.hom_complex
+        original = complexes.quotient_with_w1
 
         def counted(*args, **kwargs):
             calls.append(args)
             return original(*args, **kwargs)
-        monkeypatch.setattr(complexes, "hom_complex", counted)
+        monkeypatch.setattr(complexes, "quotient_with_w1", counted)
         code, out, _ = run(capsys, "--json", "height", "K2", "swap", "K4",
                            "--export", str(tmp_path / "q.json"))
         assert code == 0 and len(calls) == 1 and out == plain
+
+    @pytest.mark.parametrize("argv, z, m", [
+        (("K2", "swap", "K5"), complete_flip(2), 5),
+        (("C5", "reflection", "K4"), cycle_reflection(5), 4),
+    ], ids=["K2-K5", "C5-K4"])
+    def test_height_export_matches_generic_quotient(self, capsys, tmp_path, argv, z, m):
+        """``height --export`` writes, byte for byte, the generic quotient of
+        the whole Hom complex."""
+        out_path = tmp_path / "q.json"
+        code, _, _ = run(capsys, "height", *argv, "--export", str(out_path))
+        poset = hom.induced_involution(z, hom.enumerate_hom(z.graph, complete(m)))
+        q, w1 = generic_quotient(complexes.hom_complex(poset), poset.involution)
+        expected = {"quotient": {"cells": [level.tolist() for level in q.cells],
+                                 "faces": [table.rows() for table in q.faces[1:]]},
+                    "w1": w1.export()}
+        assert code == 0 and out_path.read_text() == dumps(expected)
 
     def test_eqmap(self, capsys):
         code, out, _ = run(capsys, "--json", "eqmap", "C5", "c5_reflection",

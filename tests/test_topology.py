@@ -1,3 +1,4 @@
+import copy
 import functools
 import itertools
 import math
@@ -17,8 +18,8 @@ from homlab.complexes import CocycleClass, Table, coboundary, w1_height
 from homlab.errors import ResourceLimitError
 from homlab.gf2 import rank_sparse
 
-from conftest import (chains, dfs_chains, eager_in_column_span, element_sets, numbered,
-                      simplicial_complex, simplicial_involution)
+from conftest import (chains, dfs_chains, eager_in_column_span, element_sets,
+                      generic_quotient, numbered, simplicial_complex, simplicial_involution)
 
 
 class RelationPoset:
@@ -136,11 +137,11 @@ class TestOrderedDeltaComplex:
         assert [t.rows() for t in x.tops] == tops
 
     def test_given_faces_match_derived(self, hom_k2_k4_swap):
-        # the quotient is given its face lists; each must list the orbits of
-        # the faces of its lift, found here by the order relation
+        # each quotient face list must list the orbits of the faces of its
+        # lift, found here by the order relation
         p = hom_k2_k4_swap
         x = hom_complex(p)
-        q, _ = quotient_with_w1(x, p.involution)
+        q, _ = quotient_with_w1(p)
         for d in range(1, q.dim + 1):
             for i, row in zip(q.cells[d], q.faces[d].rows()):
                 faces = [j for j in x.cells[d - 1] if p.leq(j, i)]
@@ -447,7 +448,7 @@ def barycentric_height(poset, on_simplices) -> float:
     if len(poset) == 0:
         return -math.inf
     x = order_complex(poset)
-    _, w1 = quotient_with_w1(*on_simplices(x, poset.involution))
+    _, w1 = generic_quotient(*on_simplices(x, poset.involution))
     return w1_height(w1)
 
 
@@ -490,7 +491,7 @@ class TestHomComplex:
     ])
     def test_orbit_cell_counts(self, z, m, counts):
         poset = induced_involution(z, enumerate_hom(z.graph, complete(m)))
-        q, _ = quotient_with_w1(hom_complex(poset), poset.involution)
+        q, _ = quotient_with_w1(poset)
         assert [q.n_cells(d) for d in range(q.dim + 1)] == counts
 
     def test_vertices_are_atoms(self, hom_k2_k3):
@@ -609,7 +610,7 @@ class TestHomComplex:
     def test_cup_power_counts_section_changing_paths(self, z, m, index_of):
         poset = induced_involution(z, enumerate_hom(z.graph, complete(m)))
         index = index_of(poset)
-        q, w1 = quotient_with_w1(hom_complex(poset), poset.involution)
+        q, w1 = quotient_with_w1(poset)
         for n in range(1, q.dim + 1):
             assert cup_power(w1, n).values.tolist() == [
                 section_changing_paths(poset, index, i) for i in q.cells[n]]
@@ -641,7 +642,7 @@ def check_cells_against_tuple_walk(poset, hom_cells):
 class TestQuotient:
     def test_hexagon_antipodal_gives_triangle(self, on_simplices):
         x = hexagon()
-        q, w1 = quotient_with_w1(*on_simplices(x, {i: (i + 3) % 6 for i in range(6)}))
+        q, w1 = generic_quotient(*on_simplices(x, {i: (i + 3) % 6 for i in range(6)}))
         assert q.n_cells(0) == 3 and q.n_cells(1) == 3
         assert betti_mod2(q) == (1, 1)
         assert w1.check_cocycle()
@@ -652,13 +653,13 @@ class TestQuotient:
         edges = [(i, (i + 1) % 6) for i in range(6)] + \
                 [(6 + i, 6 + (i + 1) % 6) for i in range(6)]
         x = simplicial_complex([verts, edges])
-        q, w1 = quotient_with_w1(*on_simplices(x, {i: (i + 6) % 12 for i in range(12)}))
+        q, w1 = generic_quotient(*on_simplices(x, {i: (i + 6) % 12 for i in range(12)}))
         assert betti_mod2(q) == (1, 1)
         assert is_coboundary(w1)  # disconnected double cover, trivial twist
 
     def test_octahedron_gives_projective_plane(self, on_simplices):
         x, antipode = octahedron_subdivision()
-        q, w1 = quotient_with_w1(*on_simplices(x, antipode))
+        q, w1 = generic_quotient(*on_simplices(x, antipode))
         assert betti_mod2(q) == (1, 1, 1)
         assert not is_coboundary(w1)
         assert not is_coboundary(cup_power(w1, 2))
@@ -667,18 +668,18 @@ class TestQuotient:
     def test_fixed_vertex_raises_freeness(self, on_simplices):
         x = hexagon()
         with pytest.raises(FreenessError):
-            quotient_with_w1(*on_simplices(x, {0: 0, 3: 3, 1: 4, 4: 1, 2: 5, 5: 2}))
+            generic_quotient(*on_simplices(x, {0: 0, 3: 3, 1: 4, 4: 1, 2: 5, 5: 2}))
 
     def test_non_simplicial_raises(self, on_simplices):
         # vertex permutation of order two that does not send edges to edges
         x = hexagon()
         with pytest.raises(InputError):
-            quotient_with_w1(*on_simplices(x, {0: 2, 2: 0, 1: 4, 4: 1, 3: 5, 5: 3}))
+            generic_quotient(*on_simplices(x, {0: 2, 2: 0, 1: 4, 4: 1, 3: 5, 5: 3}))
 
     def test_not_order_two_raises(self, on_simplices):
         x = hexagon()
         with pytest.raises(InputError):
-            quotient_with_w1(*on_simplices(x, {i: (i + 2) % 6 for i in range(6)}))
+            generic_quotient(*on_simplices(x, {i: (i + 2) % 6 for i in range(6)}))
 
     def test_not_commuting_with_faces_raises(self):
         # vertices swap within {0, 1}, {2, 3}, {4, 5} while each edge goes to
@@ -687,7 +688,7 @@ class TestQuotient:
         tau = simplicial_involution(x, {i: (i + 3) % 6 for i in range(6)})
         tau.update({(i,): (i ^ 1,) for i in range(6)})
         with pytest.raises(InputError):
-            quotient_with_w1(*numbered(x, tau))
+            generic_quotient(*numbered(x, tau))
 
     def test_not_commuting_with_top_pairs_raises(self):
         # 0 <-> 3 and 1 <-> 2 send the faces of (0, 1) to those of (2, 3),
@@ -696,7 +697,7 @@ class TestQuotient:
         tau = {(0,): (3,), (3,): (0,), (1,): (2,), (2,): (1,),
                (0, 1): (2, 3), (2, 3): (0, 1)}
         with pytest.raises(InputError):
-            quotient_with_w1(*numbered(x, tau))
+            generic_quotient(*numbered(x, tau))
 
     def test_boundary_of_boundary_checked(self):
         # a tau-invariant cover whose 2-cells bound single edges, so their
@@ -711,39 +712,39 @@ class TestQuotient:
         tau = {"a0": "b0", "b0": "a0", "a1": "b1", "b1": "a1",
                "e": "f", "f": "e", "t": "u", "u": "t"}
         with pytest.raises(InvariantError):
-            quotient_with_w1(*numbered(x, tau))
+            generic_quotient(*numbered(x, tau))
 
     def test_tau_contract_checked(self, on_simplices):
         # the hexagon's vertices are cells 0-5 and its edges 6-11
         x, tau = on_simplices(hexagon(), {i: (i + 3) % 6 for i in range(6)})
-        assert betti_mod2(quotient_with_w1(x, tau)[0]) == (1, 1)
+        assert betti_mod2(generic_quotient(x, tau)[0]) == (1, 1)
         # a name past len(tau), a float tau, names that do not ascend
         descending = CellComplex([x.cells[0][::-1], x.cells[1]], x.faces, x.tops)
         for bad, match in [((x, tau[:-1]), "indices of tau"),
                            ((x, tau.astype(float)), "integer array"),
                            ((descending, tau), "ascending")]:
             with pytest.raises(InputError, match=match):
-                quotient_with_w1(*bad)
+                generic_quotient(*bad)
         # a vertex sent to an edge, an edge to a vertex, a cell to no cell
         for cell, image in [(0, 6), (6, 0), (3, -1)]:
             spoiled = tau.copy()
             spoiled[cell] = image
             with pytest.raises(InputError, match="to no"):
-                quotient_with_w1(x, spoiled)
+                generic_quotient(x, spoiled)
 
     def test_halving(self, hom_k2_k4, hom_k2_k4_swap, on_simplices):
-        for x, tau in [
-            on_simplices(order_complex(hom_k2_k4), hom_k2_k4_swap.involution),
-            (hom_complex(hom_k2_k4_swap), hom_k2_k4_swap.involution),
+        chains_x = order_complex(hom_k2_k4)
+        for x, (q, _) in [
+            (chains_x, generic_quotient(*on_simplices(chains_x, hom_k2_k4_swap.involution))),
+            (hom_complex(hom_k2_k4_swap), quotient_with_w1(hom_k2_k4_swap)),
         ]:
-            q, _ = quotient_with_w1(x, tau)
             for d in range(x.dim + 1):
                 assert 2 * q.n_cells(d) == x.n_cells(d)
 
     def test_hom_orbit_cells(self, hom_k2_k4_swap):
         p = hom_k2_k4_swap
         x = hom_complex(p)
-        q, w1 = quotient_with_w1(x, p.involution)
+        q, w1 = quotient_with_w1(p)
         assert [q.n_cells(d) for d in range(3)] == [6, 12, 7]
         for d in range(q.dim + 1):
             # each orbit is named by its lift, the lower of the pair
@@ -755,6 +756,42 @@ class TestQuotient:
         assert betti_mod2(q) == (1, 1, 1)  # the projective plane
         assert not is_coboundary(cup_power(w1, 2))
 
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(st.data())
+    def test_matches_generic_quotient(self, small_graphs, data):
+        # the lift-row build has the cells, face and top tables and w1 of
+        # the generic quotient of the whole Hom complex, array for array
+        z = data.draw(st.sampled_from(
+            [complete_flip(2), complete_flip(3), cycle_reflection(5)]))
+        target = data.draw(small_graphs(1, loops=False))
+        try:
+            poset = induced_involution(
+                z, enumerate_hom(z.graph, target, max_elements=1000))
+        except ResourceLimitError:
+            assume(False)
+        q, w1 = quotient_with_w1(poset)
+        want, want_w1 = generic_quotient(hom_complex(poset), poset.involution)
+        assert [level.tolist() for level in q.cells] == \
+            [level.tolist() for level in want.cells]
+        for got, expected in [(q.faces, want.faces), (q.tops, want.tops)]:
+            assert len(got) == len(expected)
+            for a, b in zip(got, expected):
+                assert np.array_equal(a.starts, b.starts)
+                assert np.array_equal(a.entries, b.entries)
+        assert np.array_equal(w1.values, want_w1.values)
+
+    def test_hom_involution_checked(self, hom_k2_k3_swap):
+        # an order-two permutation of the elements, fixing none
+        tau = hom_k2_k3_swap.involution
+        fixing = tau.copy()
+        fixing[[0, tau[0]]] = [0, tau[0]]
+        for bad, error in [(fixing, FreenessError), (np.roll(tau, 1), InputError),
+                           (tau[:-1], InputError), (tau + 1, InputError)]:
+            poset = copy.copy(hom_k2_k3_swap)
+            poset.involution = bad
+            with pytest.raises(error):
+                quotient_with_w1(poset)
+
     def test_w1_class_independent_of_labeling(self, on_simplices):
         # relabel the hexagon so the canonical orbit sections differ; the
         # coboundary status of w1 is a property of the cover, not the section
@@ -763,7 +800,7 @@ class TestQuotient:
             verts.sort()
             edges = sorted(((i, (i + 1) % 6) for i in range(6)))
             x = simplicial_complex([verts, edges])
-            q, w1 = quotient_with_w1(*on_simplices(x, {i: (i + 3) % 6 for i in range(6)}))
+            q, w1 = generic_quotient(*on_simplices(x, {i: (i + 3) % 6 for i in range(6)}))
             assert not is_coboundary(w1)
 
 
@@ -819,7 +856,7 @@ class TestCupAndCoboundary:
         target = data.draw(small_graphs(1, loops=False))
         poset = induced_involution(z, enumerate_hom(z.graph, target))
         assume(len(poset) > 0)
-        q, w1 = quotient_with_w1(hom_complex(poset), poset.involution)
+        q, w1 = quotient_with_w1(poset)
         rng = np.random.default_rng(data.draw(st.integers(0, 2**16)))
         for k in range(q.dim + 1):
             delta = dense_face_matrix(q, k).T  # (k-1)-cochains -> k-cochains
@@ -869,8 +906,12 @@ class TestHeightAndConn:
             sw_height(hom_k2_k3)
 
     def test_unknown_method(self, hom_k2_k3_swap):
-        with pytest.raises(InputError):
-            sw_height(hom_k2_k3_swap, method="magic")
+        # the empty Hom(C5, K2) is refused too, before its -inf shortcut
+        empty = induced_involution(cycle_reflection(5), enumerate_hom(cycle(5), complete(2)))
+        assert len(empty) == 0
+        for poset in (hom_k2_k3_swap, empty):
+            with pytest.raises(InputError):
+                sw_height(poset, method="magic")
 
     def test_conn_connected_circle(self, hom_k2_k3):
         res = conn_proxy(order_complex(hom_k2_k3))
