@@ -10,10 +10,9 @@ from typing import Optional, Sequence
 
 from .complexes import conn_proxy, hom_complex, sw_height
 from .errors import InputError, InvariantError, ResourceLimitError
-from .graphs import (Graph, GraphMap, Z2Graph, chromatic_number, complete,
-                     cycle, cycle_reflection, find_retraction_to_edge,
-                     is_graph_map, paper_f, paper_gamma1, paper_gamma2,
-                     search_equivariant_map)
+from .graphs import (Graph, Z2Graph, chromatic_number, complete, cycle,
+                     cycle_reflection, find_retraction_to_edge, paper_f,
+                     paper_gamma1, paper_gamma2, search_equivariant_map)
 from .hom import (HomPoset, PathCertificate, enumerate_hom, induced_involution,
                   induced_map, verify_certificate)
 from .serialize import bundled_fig3_certificate, graph_signature, json_number
@@ -30,9 +29,10 @@ __all__ = [
     "FULL_METHOD_MAX_ELEMENTS",
 ]
 
-# bound_suite's method threshold, kept below the C5/reflection -> K5 core
-# (45,540 elements), where the full method takes 0.08-0.09 s against 0.006 s
-# for the component one on a 2-core VM: most of a bound-sweeps round.
+# bound_suite's method threshold.  On a 2-core Xeon VM (medians of 7 calls)
+# the full method takes 86-98 ms on the C5/reflection -> K5 core (45,540
+# elements) and 3.1-3.2 ms on the K4 one (2,160) against 6-7 and 0.5-0.6 ms
+# for the component one; bound_suite C5 is bound-sweeps' slowest operation.
 FULL_METHOD_MAX_ELEMENTS = 2000
 
 

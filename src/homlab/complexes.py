@@ -183,8 +183,8 @@ def _cofaces(face: Table, n: int) -> Table:
     return Table(starts, face.owner()[order])
 
 
-def betti_mod2(x: CellComplex, reduced: bool = False) -> tuple:
-    """GF(2) Betti numbers b_0..b_dim (reduced variant subtracts one from b_0).
+def betti_mod2(x: CellComplex) -> tuple:
+    """GF(2) Betti numbers b_0..b_dim.
 
     ``rank ∂_{d+1}`` is taken as the rank of the coboundary ``δ_d``, for
     d = 0 .. dim-1 in ascending order (:func:`homlab.gf2.pivots`), its rows
@@ -207,17 +207,14 @@ def betti_mod2(x: CellComplex, reduced: bool = False) -> tuple:
         ranks[d + 1] = len(found)
         keep = np.ones(x.n_cells(d + 1), dtype=bool)
         keep[found] = False
-    out = [x.n_cells(d) - ranks[d] - ranks[d + 1] for d in range(x.dim + 1)]
-    if reduced:
-        out[0] -= 1
-    return tuple(out)
+    return tuple(x.n_cells(d) - ranks[d] - ranks[d + 1] for d in range(x.dim + 1))
 
 
 # ---------------------------------------------------------------------------
 # Order complexes and the Hom complex
 
 
-def order_complex(poset, max_chains: Optional[int] = None) -> CellComplex:
+def order_complex(poset) -> CellComplex:
     """Order complex of a poset on 0..n-1, n = ``len(poset)``, whose
     ascending up-sets ``poset.above(i)`` lists (a Hom poset reads them off
     the upper covers of its cell relation).
@@ -231,7 +228,7 @@ def order_complex(poset, max_chains: Optional[int] = None) -> CellComplex:
     up-sets are asked, since each entry is a 1-chain; and before a level
     past it is built.
     """
-    cap = default_max_elements() if max_chains is None else max_chains
+    cap = default_max_elements()
     n = len(poset)
     if n > cap:
         raise ResourceLimitError(f"order complex exceeds the cap of {cap} chains")
@@ -287,15 +284,7 @@ def _graded(dims: np.ndarray, *relations) -> tuple:
     return cells, *tables
 
 
-def _cell_cap(poset: HomPoset, max_cells: Optional[int]) -> None:
-    """Raises ResourceLimitError when the Hom complex has more cells than
-    the cap."""
-    cap = default_max_elements() if max_cells is None else max_cells
-    if len(poset) > cap:
-        raise ResourceLimitError(f"Hom complex exceeds the cap of {cap} cells")
-
-
-def hom_complex(poset: HomPoset, max_cells: Optional[int] = None) -> CellComplex:
+def hom_complex(poset: HomPoset) -> CellComplex:
     """The Hom complex on its own cells (Babson-Kozlov).
 
     Each element ``eta`` is a cell, the product of the simplices on its
@@ -306,9 +295,7 @@ def hom_complex(poset: HomPoset, max_cells: Optional[int] = None) -> CellComplex
     from ``max(eta - top_v)`` to ``max eta``, where ``max`` takes the
     largest color of every set.  The poset reads these off its elements
     (``HomPoset.cell_relation``); here they are grouped by dimension.
-    Raises ResourceLimitError beyond the cell cap.
     """
-    _cell_cap(poset, max_cells)
     dims, face_owner, faces, top_owner, tops = poset.cell_relation()
     return CellComplex(*_graded(dims, (face_owner, faces), (top_owner, tops)))
 
@@ -353,19 +340,29 @@ def coboundary(c: CocycleClass) -> CocycleClass:
 
 def _boundary_squares_to_zero(x: CellComplex) -> bool:
     """Whether every face of a face of each cell is met an even number of
-    times, i.e. the mod-2 boundary squares to zero."""
+    times, i.e. the mod-2 boundary squares to zero.  A dimension is checked
+    in runs of cells holding at most as many such pairs as its face table
+    has entries (or one cell), so the check holds little beyond that table."""
     for d in range(2, x.dim + 1):
         outer, inner = x.faces[d], x.faces[d - 1]
-        lengths = np.diff(inner.starts)[outer.entries]
-        # entry k of the concatenated face rows of the faces sits at
-        # inner.starts[face] + (k - the number of entries before that face)
-        before = np.cumsum(lengths) - lengths
-        at = np.repeat(inner.starts[outer.entries] - before, lengths)
-        grand = inner.entries[at + np.arange(lengths.sum())]
-        keys = _row_keys((np.repeat(outer.owner(), lengths), grand),
-                         (x.n_cells(d), x.n_cells(d - 2)))
-        if len(_odd_keys(keys)):
-            return False
+        sizes = np.diff(inner.starts)
+        # the pairs of the cells before each cell
+        pairs = np.cumsum(np.append(0, sizes[outer.entries]))[outer.starts]
+        a = 0
+        while a < x.n_cells(d):
+            b = max(a + 1, int(pairs.searchsorted(pairs[a] + len(outer.entries), "right")) - 1)
+            starts = outer.starts[a:b + 1]
+            faces = outer.entries[starts[0]:starts[-1]]
+            lengths = sizes[faces]
+            # entry k of the concatenated face rows of the faces sits at
+            # inner.starts[face] + (k - the number of entries before that face)
+            before = np.cumsum(lengths) - lengths
+            at = np.repeat(inner.starts[faces] - before, lengths)
+            grand = inner.entries[at + np.arange(len(at))]
+            owner = np.repeat(np.arange(b - a), np.diff(pairs[a:b + 1]))
+            if len(_odd_keys(_row_keys((owner, grand), (b - a, x.n_cells(d - 2))))):
+                return False
+            a = b
     return True
 
 
@@ -376,7 +373,7 @@ def _odd_keys(keys: np.ndarray) -> np.ndarray:
     return keys[starts[np.diff(starts, append=len(keys)) % 2 == 1]]
 
 
-def quotient_with_w1(poset: HomPoset, max_cells: Optional[int] = None):
+def quotient_with_w1(poset: HomPoset):
     """The free quotient of the Hom complex by ``poset.involution`` tau, on
     its cells, plus the twist cocycle of the double cover.
 
@@ -391,10 +388,8 @@ def quotient_with_w1(poset: HomPoset, max_cells: Optional[int] = None):
     tau must be an order-two permutation of the elements (InputError)
     fixing none (FreenessError); that it comes from a flipping involution
     of the source and a loopless target, as ``induced_involution``
-    guarantees, is taken as given.  Raises ResourceLimitError when the Hom
-    complex has more cells than the cap.
+    guarantees, is taken as given.
     """
-    _cell_cap(poset, max_cells)
     tau, n = poset.involution, len(poset)
     idx = np.arange(n)
     if (tau is None or np.shape(tau) != (n,) or ((tau < 0) | (tau >= n)).any()
@@ -511,9 +506,10 @@ def sw_height(poset: HomPoset, method: str = "full",
     """Height of the free involution on a Hom poset.
 
     ``full`` builds the free quotient of the Hom complex by tau-orbits of
-    cells (``quotient_with_w1``, the Hom complex having at most
-    ``max_chains`` cells), and finds the largest n whose cup power of the
-    twist cocycle is not a coboundary.
+    cells (``quotient_with_w1``), and finds the largest n whose cup power of
+    the twist cocycle is not a coboundary.  It raises ResourceLimitError,
+    before building anything, when the Hom complex has more cells than
+    ``max_chains`` (by default ``default_max_elements()``).
     ``component`` answers exactly within {-inf, 0, >=1}: >= 1 iff some
     connected component is preserved by the involution.
     """
@@ -527,13 +523,11 @@ def sw_height(poset: HomPoset, method: str = "full",
         if poset.invariant_components():
             return HeightResult(1, False, method)
         return HeightResult(0, True, method)
-
-    try:
-        _, w1 = quotient_with_w1(poset, max_chains)
-    except ResourceLimitError as exc:
-        raise ResourceLimitError(
-            f"{exc}; use method='component' for large posets"
-        ) from None
+    cap = default_max_elements() if max_chains is None else max_chains
+    if len(poset) > cap:
+        raise ResourceLimitError(f"Hom complex exceeds the cap of {cap} cells; "
+                                 "use method='component' for large posets")
+    _, w1 = quotient_with_w1(poset)
     return HeightResult(w1_height(w1), True, "full")
 
 
@@ -555,11 +549,11 @@ def conn_proxy(x: CellComplex) -> ConnResult:
     """
     if x.is_empty():
         return ConnResult(NEG_INF, True)
-    reduced = betti_mod2(x, reduced=True)
-    if reduced[0] != 0:
+    betti = betti_mod2(x)
+    if betti[0] != 1:
         return ConnResult(-1, True)
     n = 0
-    while n + 1 <= x.dim and reduced[n + 1] == 0:
+    while n + 1 <= x.dim and betti[n + 1] == 0:
         n += 1
     if n + 1 > x.dim:
         return ConnResult(math.inf, False)  # homology vanishes in all degrees

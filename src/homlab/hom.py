@@ -400,8 +400,7 @@ def _candidate_sets(allowed: int, has_neighbor: bool, has_loop: bool,
     return out
 
 
-def enumerate_hom(source: Graph, target: Graph,
-                  max_elements: Optional[int] = None) -> HomPoset:
+def enumerate_hom(source: Graph, target: Graph) -> HomPoset:
     """Enumerate all multihomomorphisms source -> target, in canonical order.
 
     Level-wise over the source vertices, on one array of color masks (the
@@ -423,7 +422,7 @@ def enumerate_hom(source: Graph, target: Graph,
     """
     if not source.vertices:
         raise InputError("enumerate_hom requires a nonempty source vertex set")
-    cap = default_max_elements() if max_elements is None else max_elements
+    cap = default_max_elements()
     adjm = _adjacency_masks(target)
     full = (1 << len(adjm)) - 1
     dtype = _mask_dtype(len(adjm))

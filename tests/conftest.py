@@ -1,11 +1,12 @@
 import itertools
+import os
+from unittest import mock
 
 import numpy as np
 import pytest
 
 from homlab import (CellComplex, Graph, GraphMap, complete, complete_flip, cycle,
-                    cycle_reflection, enumerate_hom, induced_involution, paper_T,
-                    paper_f, paper_gamma1, paper_gamma2)
+                    enumerate_hom, induced_involution, paper_T)
 from homlab.complexes import (CocycleClass, Table, _boundary_squares_to_zero, _odd_keys,
                                _row_sums)
 from homlab.errors import FreenessError, InputError, InvariantError
@@ -60,6 +61,12 @@ def hom_k2_k3_swap(hom_k2_k3):
 @pytest.fixture(scope="session")
 def hom_k2_k4_swap(hom_k2_k4):
     return induced_involution(complete_flip(2), hom_k2_k4)
+
+
+def element_cap(n):
+    """A context setting HOMLAB_MAX_ELEMENTS to ``n``, for Hypothesis bodies,
+    where a function-scoped monkeypatch trips a health check."""
+    return mock.patch.dict(os.environ, {"HOMLAB_MAX_ELEMENTS": str(n)})
 
 
 def chains(level):

@@ -6,12 +6,11 @@ the stated time limits are asserted with a generous margin against wall
 clock, so a pathological slowdown fails loudly instead of silently.
 """
 
-import math
 import time
 
 import numpy as np
 
-from homlab import (GraphMap, bound_suite, check_swt_bound, chromatic_number,
+from homlab import (bound_suite, check_swt_bound, chromatic_number,
                     complete, complete_flip, connected_graphs, cycle,
                     cycle_reflection, enumerate_hom, find_retraction_to_edge,
                     induced_involution, induced_map, is_graph_map, order_complex,

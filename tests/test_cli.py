@@ -5,9 +5,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from homlab import (FreenessError, GraphMap, InputError, InvariantError, bounds,
-                    complete, complete_flip, complexes, cycle, cycle_reflection, hom,
-                    paper_T, paper_f, paper_gamma1, paper_gamma2)
+from homlab import (FreenessError, InputError, InvariantError, bounds, complete,
+                    complete_flip, complexes, cycle, cycle_reflection, hom,
+                    paper_T, paper_gamma1, paper_gamma2)
 from homlab.cli import main
 from homlab.serialize import (bundled_fig3_certificate, certificate_from_json,
                               certificate_to_json, dumps, graph_from_json,

@@ -4,7 +4,7 @@ import math
 import pytest
 from hypothesis import given, reject, settings, strategies as st
 
-from homlab import (Graph, GraphMap, InputError, ResourceLimitError, Z2Graph, builtin,
+from homlab import (Graph, InputError, ResourceLimitError, Z2Graph, builtin,
                     chromatic_number, complete, complete_flip,
                     connected_graphs, cycle, cycle_reflection,
                     find_retraction_to_edge, is_graph_map,

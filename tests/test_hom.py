@@ -13,7 +13,7 @@ from homlab import (Graph, GraphMap, HomPoset, InputError, InvariantError,
 from homlab import hom as hom_module
 from homlab.serialize import bundled_fig3_certificate
 
-from conftest import atom_graph_map, element_sets, is_multihom
+from conftest import atom_graph_map, element_cap, element_sets, is_multihom
 
 
 def brute_multihoms(source, target):
@@ -139,13 +139,20 @@ class TestEnumerateHom:
         poset = enumerate_hom(complete(3), K2)
         assert len(poset) == 0 and poset.atoms.tolist() == []
 
-    def test_cap_enforced(self, K2, K4):
-        with pytest.raises(ResourceLimitError):
-            enumerate_hom(K2, K4, max_elements=10)
+    def test_cap_enforced(self, K2, K4, monkeypatch):
+        monkeypatch.setenv("HOMLAB_MAX_ELEMENTS", "10")
+        with pytest.raises(ResourceLimitError, match="cap of 10 elements"):
+            enumerate_hom(K2, K4)
 
     def test_env_cap(self, K2, K4, monkeypatch):
+        # the setting is read at every call, and must be an integer
         monkeypatch.setenv("HOMLAB_MAX_ELEMENTS", "10")
         with pytest.raises(ResourceLimitError):
+            enumerate_hom(K2, K4)
+        monkeypatch.setenv("HOMLAB_MAX_ELEMENTS", "50")
+        assert len(enumerate_hom(K2, K4)) == 50
+        monkeypatch.setenv("HOMLAB_MAX_ELEMENTS", "ten")
+        with pytest.raises(InputError, match="not an integer"):
             enumerate_hom(K2, K4)
 
     def test_empty_source_rejected(self, K3):
@@ -167,10 +174,11 @@ class TestEnumerateHom:
         expected = sorted(brute_multihoms(source, target), key=key)
         assert [element_sets(poset, i) for i in range(len(poset))] == expected
         n = len(poset)
-        assert enumerate_hom(source, target, max_elements=n).elements == poset.elements
+        with element_cap(n):
+            assert enumerate_hom(source, target).elements == poset.elements
         if n:
-            with pytest.raises(ResourceLimitError):
-                enumerate_hom(source, target, max_elements=n - 1)
+            with element_cap(n - 1), pytest.raises(ResourceLimitError):
+                enumerate_hom(source, target)
 
     def test_cost_follows_output_not_color_sets(self, K2):
         # 2n ordered edges, and per vertex v of Cn the two elements pairing
@@ -197,14 +205,15 @@ class TestEnumerateHom:
         assert len(poset.components()) == 2 - n % 2
         assert np.array_equal(poset.component_labels, atom_components(poset))
 
-    def test_levels_past_the_cap_are_split(self):
+    def test_levels_past_the_cap_are_split(self, monkeypatch):
         """Paths into C4 are many, but no odd cycle maps to it: levels past
         the cap are extended in halves, so memory follows the cap, and the
         exact cap still holds when every level is split."""
         import tracemalloc
+        monkeypatch.setenv("HOMLAB_MAX_ELEMENTS", "1000")
         tracemalloc.start()
         try:
-            poset = enumerate_hom(cycle(13), cycle(4), max_elements=1000)
+            poset = enumerate_hom(cycle(13), cycle(4))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -213,9 +222,11 @@ class TestEnumerateHom:
         # 980 multihoms of the path, 14 of the closed C7 into C7
         full = enumerate_hom(cycle(7), cycle(7))
         assert len(full) == 14
-        assert enumerate_hom(cycle(7), cycle(7), max_elements=14).elements == full.elements
+        monkeypatch.setenv("HOMLAB_MAX_ELEMENTS", "14")
+        assert enumerate_hom(cycle(7), cycle(7)).elements == full.elements
+        monkeypatch.setenv("HOMLAB_MAX_ELEMENTS", "13")
         with pytest.raises(ResourceLimitError):
-            enumerate_hom(cycle(7), cycle(7), max_elements=13)
+            enumerate_hom(cycle(7), cycle(7))
 
     def test_last_level_lists_candidates_within_the_cap(self, K2, monkeypatch):
         """K2 -> K14 has about 3^14 elements.  Past the first vertex's
@@ -230,8 +241,9 @@ class TestEnumerateHom:
             return found
 
         monkeypatch.setattr(hom_module, "_candidate_sets", counted)
+        monkeypatch.setenv("HOMLAB_MAX_ELEMENTS", str(cap))
         with pytest.raises(ResourceLimitError):
-            enumerate_hom(K2, complete(14), max_elements=cap)
+            enumerate_hom(K2, complete(14))
         first, *last = listed
         assert first == 2**14 - 2
         assert sum(last) <= 2 * cap + 1

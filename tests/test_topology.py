@@ -14,11 +14,12 @@ from homlab import (CellComplex, FreenessError, Graph, HomPoset, InputError,
                     enumerate_hom, hom_complex, induced_involution,
                     is_coboundary, order_complex, paper_T, quotient_with_w1,
                     sw_height, unit_class)
-from homlab.complexes import CocycleClass, Table, coboundary, w1_height
+from homlab.complexes import (CocycleClass, ConnResult, Table, _boundary_squares_to_zero,
+                              coboundary, w1_height)
 from homlab.errors import ResourceLimitError
 from homlab.gf2 import rank_sparse
 
-from conftest import (chains, dfs_chains, eager_in_column_span, element_sets,
+from conftest import (chains, dfs_chains, eager_in_column_span, element_cap, element_sets,
                       generic_quotient, numbered, simplicial_complex, simplicial_involution)
 
 
@@ -38,9 +39,9 @@ class RelationPoset:
         return self.ups[i]
 
 
-def order_complex_from_relation(n, leq, max_chains=None):
+def order_complex_from_relation(n, leq):
     """Oracle: the order complex of the poset on 0..n-1 under ``leq``."""
-    return order_complex(RelationPoset(n, leq), max_chains)
+    return order_complex(RelationPoset(n, leq))
 
 
 def betti_from_every_rank(x):
@@ -192,9 +193,10 @@ class TestBetti:
         assert betti_mod2(x) == (1, 0, 1)
 
     def test_two_points_reduced(self):
+        # conn_proxy reads the reduced b_0 as b_0 - 1
         x = simplicial_complex([[(0,), (1,)]])
         assert betti_mod2(x) == (2,)
-        assert betti_mod2(x, reduced=True) == (1,)
+        assert conn_proxy(x) == ConnResult(-1, True)
 
     def test_empty(self):
         assert betti_mod2(simplicial_complex([])) == ()
@@ -235,8 +237,10 @@ class TestBetti:
         source = data.draw(small_graphs(1, loops=True))
         target = data.draw(small_graphs(0, loops=True))
         try:
-            poset = enumerate_hom(source, target, max_elements=400)
-            xs = hom_complex(poset), order_complex(poset, max_chains=20000)
+            with element_cap(400):
+                poset = enumerate_hom(source, target)
+            with element_cap(20000):
+                xs = hom_complex(poset), order_complex(poset)
         except ResourceLimitError:
             assume(False)
         for x in xs:
@@ -295,18 +299,20 @@ class TestOrderComplex:
         x = order_complex_from_relation(5, lambda i, j: i == j)
         assert x.dim == 0 and x.n_cells(0) == 5
 
-    def test_chain_cap(self):
+    def test_chain_cap(self, monkeypatch):
+        monkeypatch.setenv("HOMLAB_MAX_ELEMENTS", "10")
         with pytest.raises(ResourceLimitError):
-            order_complex_from_relation(6, lambda i, j: i <= j, max_chains=10)
+            order_complex_from_relation(6, lambda i, j: i <= j)
 
-    def test_chain_cap_bounds_leq_calls(self):
+    def test_chain_cap_bounds_leq_calls(self, monkeypatch):
         n, calls = 100, []
 
         def leq(i, j):
             calls.append((i, j))
             return i <= j
+        monkeypatch.setenv("HOMLAB_MAX_ELEMENTS", "5")
         with pytest.raises(ResourceLimitError):
-            order_complex_from_relation(n, leq, max_chains=5)
+            order_complex_from_relation(n, leq)
         # each chain within the cap scans at most one new element's upset
         assert len(calls) <= 5 * (n - 1) < n * (n - 1)
 
@@ -364,13 +370,15 @@ class TestOrderComplex:
         monkeypatch.setattr(HomPoset, "above", counted)
         # 1,932 elements and 45,612 up-set entries are within 100,000, the
         # chains of length 3 are not
+        monkeypatch.setenv("HOMLAB_MAX_ELEMENTS", "100000")
         with pytest.raises(ResourceLimitError):
-            order_complex(poset, max_chains=100_000)
+            order_complex(poset)
         assert sorted(walked) == list(range(len(poset)))
         assert len(poset) + sum(len(above(poset, i)) for i in walked) <= 100_000
         walked.clear()
+        monkeypatch.setenv("HOMLAB_MAX_ELEMENTS", "10000")
         with pytest.raises(ResourceLimitError):
-            order_complex(poset, max_chains=10_000)
+            order_complex(poset)
         assert len(walked) == len(set(walked)) < len(poset)
 
     def test_poset_past_the_cap_builds_no_covers(self, K2, monkeypatch):
@@ -380,8 +388,9 @@ class TestOrderComplex:
             raise AssertionError("order_complex walked an up-set")
         monkeypatch.setattr(HomPoset, "above", refuse)
         poset = enumerate_hom(K2, complete(5))
+        monkeypatch.setenv("HOMLAB_MAX_ELEMENTS", str(len(poset) - 1))
         with pytest.raises(ResourceLimitError):
-            order_complex(poset, max_chains=len(poset) - 1)
+            order_complex(poset)
         assert "covers" not in vars(poset._rows)
 
     def test_descending_upsets_rejected(self):
@@ -412,16 +421,16 @@ def check_upsets_against_leq(source, target, simplex_tables):
     scan, its names are the depth-first walk's over that scan and its
     tables are the tuple oracle's."""
     try:
-        poset = enumerate_hom(source, target, max_elements=400)
+        with element_cap(400):
+            poset = enumerate_hom(source, target)
     except ResourceLimitError:
         assume(False)
     relation = RelationPoset(len(poset), poset.leq)
-    routes = (lambda: order_complex(poset, max_chains=20_000),
-              lambda: order_complex(relation, max_chains=20_000))
     built = []
-    for route in routes:
+    for route in (poset, relation):
         try:
-            built.append(route())
+            with element_cap(20_000):
+                built.append(order_complex(route))
         except ResourceLimitError:
             built.append(None)
     if built[0] is None:
@@ -575,18 +584,29 @@ class TestHomComplex:
                               dict_involution(z, poset))
         assert np.array_equal(poset.component_labels, atom_components(poset))
 
-    def test_chain_cap(self, K2):
-        # the cap counts cells; sw_height passes its max_chains to it
-        poset = enumerate_hom(K2, complete(7))
-        assert sum(map(len, hom_complex(poset, max_cells=1932).cells)) == 1932
-        with pytest.raises(ResourceLimitError):
-            hom_complex(poset, max_cells=1931)
+    def test_chain_cap(self, K2, monkeypatch):
+        # the cap counts cells; without max_chains sw_height reads the
+        # element cap
+        poset = induced_involution(complete_flip(2), enumerate_hom(K2, complete(7)))
+        assert sum(map(len, hom_complex(poset).cells)) == 1932
+        monkeypatch.setenv("HOMLAB_MAX_ELEMENTS", "1932")
+        assert sw_height(poset).value == 5
+        monkeypatch.setenv("HOMLAB_MAX_ELEMENTS", "1931")
+        with pytest.raises(ResourceLimitError, match="cap of 1931 cells"):
+            sw_height(poset)
 
-    def test_k2_k7_height_inside_chain_budget(self, K2):
+    def test_k2_k7_height_inside_chain_budget(self, K2, monkeypatch):
+        from homlab import complexes
+
         poset = induced_involution(complete_flip(2), enumerate_hom(K2, complete(7)))
         res = sw_height(poset, max_chains=100_000)
         assert (res.value, res.exact) == (5, True)
-        with pytest.raises(ResourceLimitError):
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("sw_height built the quotient past its cap")
+        # the cap is checked before the quotient is built
+        monkeypatch.setattr(complexes, "quotient_with_w1", refuse)
+        with pytest.raises(ResourceLimitError, match="method='component'"):
             sw_height(poset, max_chains=1931)
 
     def test_c5_k5_full_height(self):
@@ -622,8 +642,8 @@ class TestHomComplex:
             [complete_flip(2), complete_flip(3), cycle_reflection(5)]))
         target = data.draw(small_graphs(1, loops=False))
         try:
-            poset = induced_involution(
-                z, enumerate_hom(z.graph, target, max_elements=1000))
+            with element_cap(1000):
+                poset = induced_involution(z, enumerate_hom(z.graph, target))
         except ResourceLimitError:
             assume(False)
         assert sw_height(poset).value == barycentric_height(poset, on_simplices)
@@ -714,6 +734,29 @@ class TestQuotient:
         with pytest.raises(InvariantError):
             generic_quotient(*numbered(x, tau))
 
+    def test_boundary_check_covers_every_run(self):
+        """One planted face defect fails the check wherever it lands: in
+        dimensions 2-5 of C5/reflection -> K5 the face-of-face pairs outnumber
+        the face entries, so the check takes each dimension in several runs
+        of cells, and the last cell lies past the first run."""
+        z = cycle_reflection(5)
+        q, _ = quotient_with_w1(induced_involution(z, enumerate_hom(z.graph, complete(5))))
+        assert q.dim == 5 and _boundary_squares_to_zero(q)
+        for d in range(2, 6):
+            outer, inner = q.faces[d], q.faces[d - 1]
+            assert np.diff(inner.starts)[outer.entries].sum() > len(outer.entries)
+            rows = inner.rows()
+            for cell in np.linspace(0, q.n_cells(d) - 1, 4).astype(int):
+                row = outer.entries[outer.starts[cell]:outer.starts[cell + 1]]
+                # swap the first face for a cell with another boundary
+                other = next(g for g in range(q.n_cells(d - 1))
+                             if g not in row and set(rows[g]) != set(rows[row[0]]))
+                entries = outer.entries.copy()
+                entries[outer.starts[cell]] = other
+                faces = list(q.faces)
+                faces[d] = Table(outer.starts, entries)
+                assert not _boundary_squares_to_zero(CellComplex(q.cells, faces, q.tops))
+
     def test_tau_contract_checked(self, on_simplices):
         # the hexagon's vertices are cells 0-5 and its edges 6-11
         x, tau = on_simplices(hexagon(), {i: (i + 3) % 6 for i in range(6)})
@@ -765,8 +808,8 @@ class TestQuotient:
             [complete_flip(2), complete_flip(3), cycle_reflection(5)]))
         target = data.draw(small_graphs(1, loops=False))
         try:
-            poset = induced_involution(
-                z, enumerate_hom(z.graph, target, max_elements=1000))
+            with element_cap(1000):
+                poset = induced_involution(z, enumerate_hom(z.graph, target))
         except ResourceLimitError:
             assume(False)
         q, w1 = quotient_with_w1(poset)
